@@ -101,15 +101,3 @@ def order_and_reduction(N_py, k_py, roots, cap_py):
             t += 1
     finally:
         free(tg)
-
-
-def constraint_roots(N_py, k_py):
-    """All x in [0, N) with x*(x-k) = 0 mod N, ascending."""
-    cdef uint64_t N = N_py
-    cdef uint64_t k = k_py % N_py
-    cdef uint64_t x
-    out = []
-    for x in range(N):
-        if x * ((x + N - k) % N) % N == 0:
-            out.append(x)
-    return out

@@ -1,9 +1,10 @@
 """Pure-Python compute kernel.
 
-Hot loops only: walking powers of the companion matrix [[k,-1],[1,0]]
-modulo N and spotting when a power hits +/-Id or one of a small set of
-target matrices.  The compiled kernel in _corec.pyx mirrors this module
-function for function; keep the two in lockstep.
+Two hot loops, both walking powers of the companion matrix
+[[k,-1],[1,0]] modulo N: order_pm stops when a power hits +/-Id, and
+order_and_reduction also spots the first power equal to one of a small
+set of target matrices.  The compiled kernel in _corec.pyx mirrors this
+module function for function; keep the two in lockstep.
 
 This version works for arbitrary N (Python integers), so it also serves
 as the overflow-safe path for moduli past the compiled kernel's 2**32
@@ -82,9 +83,3 @@ def order_and_reduction(
             raise RuntimeError(CAP_MESSAGE)
         a, b, c, d = (k * a - c) % N, (k * b - d) % N, a, b
         t += 1
-
-
-def constraint_roots(N: int, k: int) -> list[int]:
-    """All x in [0, N) with x*(x-k) = 0 mod N, ascending."""
-    k %= N
-    return [x for x in range(N) if x * (x - k) % N == 0]

@@ -4,13 +4,15 @@ Every subcommand supports --format text|json|csv.  JSON output is one
 object (or one object per row for streaming scans); errors in JSON mode
 are a single structured object, never partial output.  Exit codes:
 0 success, 1 anomaly (a predictor disagreed or a certificate failed to
-verify), 2 usage or bad arguments.
+verify), 2 usage or bad arguments, 141 (128 + SIGPIPE) when the reader
+of stdout went away early, as in `monomod scan ... | head`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classify import (
@@ -362,7 +364,15 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nowhere to report it; point stdout at devnull so the flush at
+        # interpreter exit, which would hit the closed pipe again, is silent.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except (CheckpointError, ValueError) as exc:
         return _fail(args, str(exc))
     except OSError as exc:

@@ -1,5 +1,8 @@
 """Backend selection for the compute kernel.
 
+The kernel is two walks over powers of [[k,-1],[1,0]] modulo N:
+order_pm and order_and_reduction.
+
 The compiled kernel (_corec, built from Cython) is preferred when
 present; the pure-Python twin (_corepy) is the fallback and also covers
 moduli at or above 2**32, where the compiled kernel's uint64 arithmetic
@@ -47,9 +50,3 @@ def order_and_reduction(
     if N >= _COMPILED_LIMIT:
         return _corepy.order_and_reduction(N, k, roots, cap)
     return _impl.order_and_reduction(N, k, roots, cap)
-
-
-def constraint_roots(N: int, k: int) -> list[int]:
-    if N >= _COMPILED_LIMIT:
-        return _corepy.constraint_roots(N, k)
-    return _impl.constraint_roots(N, k)

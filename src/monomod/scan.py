@@ -194,7 +194,7 @@ def _read_last_record(path: str) -> dict | None:
                 raise CheckpointError(
                     f"corrupt checkpoint record at line {lineno} of {path}: {exc}"
                 ) from None
-            for key in ("job", "lo", "hi", "completed_to", "anomalies"):
+            for key in ("job", "lo", "hi", "include_odd", "completed_to", "anomalies"):
                 if key not in record:
                     raise CheckpointError(
                         f"corrupt checkpoint record at line {lineno} of {path}: "
@@ -211,7 +211,11 @@ def checkpoint_resume(path: str) -> ScanJob:
     if record is None:
         raise CheckpointError(f"no checkpoint records in {path}")
     return ScanJob(
-        kind=record["job"], lo=record["lo"], hi=record["hi"], checkpoint=path
+        kind=record["job"],
+        lo=record["lo"],
+        hi=record["hi"],
+        include_odd=record["include_odd"],
+        checkpoint=path,
     )
 
 
@@ -246,11 +250,13 @@ def run_scan(
     if job.checkpoint:
         record = _read_last_record(job.checkpoint)
         if record is not None:
-            if (record["job"], record["lo"], record["hi"]) != (job.kind, job.lo, job.hi):
+            recorded = (record["job"], record["lo"], record["hi"], record["include_odd"])
+            if recorded != (job.kind, job.lo, job.hi, job.include_odd):
                 raise CheckpointError(
                     f"checkpoint {job.checkpoint} describes job "
-                    f"{record['job']!r} [{record['lo']},{record['hi']}], "
-                    f"not {job.kind!r} [{job.lo},{job.hi}]"
+                    f"{record['job']!r} [{record['lo']},{record['hi']}] "
+                    f"include_odd={record['include_odd']}, "
+                    f"not {job.kind!r} [{job.lo},{job.hi}] include_odd={job.include_odd}"
                 )
             start = record["completed_to"] + 1
             anomalies = list(record["anomalies"])
@@ -313,6 +319,7 @@ def _append_checkpoint(job: ScanJob, result: ScanResult) -> None:
         "job": job.kind,
         "lo": job.lo,
         "hi": job.hi,
+        "include_odd": job.include_odd,
         "completed_to": result.completed_to,
         "anomalies": result.anomalies,
     }

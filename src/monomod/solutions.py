@@ -5,13 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import core
 from ._numbers import crt, factorize
 from .modring import ResidueRing, chain, pm_id
-
-# Below this modulus, roots of x*(x-k) are found by direct enumeration;
-# above it, per-prime-power analysis plus CRT recombination takes over.
-_ENUMERATION_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -92,24 +87,16 @@ def _prime_power_roots(p: int, e: int, k: int) -> list[int]:
     return sorted(roots)
 
 
-def _roots_by_crt(n: int, k: int) -> list[int]:
-    """Factored-modulus path: solve per prime power, recombine by CRT."""
-    factors = sorted(factorize(n).items())
-    combos: list[list[tuple[int, int]]] = [[]]
-    for p, e in factors:
-        q = p**e
-        combos = [c + [(r, q)] for c in combos for r in _prime_power_roots(p, e, k)]
-    return sorted(crt(c)[0] for c in combos)
-
-
 def bordered_constraint_roots(ring: ResidueRing, k: int) -> list[int]:
     """All x with x*(x-k) = 0 mod N, ascending; always contains 0 and k.
 
     Any solution of the bordered form (x, k, ..., k, x) forces this
     constraint on x, so these are the only candidate border values.
+    They are solved per prime power of N and recombined by CRT.
     """
-    n = ring.modulus
     k = ring.canon(k)
-    if n <= _ENUMERATION_LIMIT:
-        return core.constraint_roots(n, k)
-    return _roots_by_crt(n, k)
+    combos: list[list[tuple[int, int]]] = [[]]
+    for p, e in sorted(factorize(ring.modulus).items()):
+        q = p**e
+        combos = [c + [(r, q)] for c in combos for r in _prime_power_roots(p, e, k)]
+    return sorted(crt(c)[0] for c in combos)

@@ -31,7 +31,6 @@ def test_kernels_agree_on_dense_grid():
             assert _corec.order_and_reduction(
                 n, k, roots, cap
             ) == _corepy.order_and_reduction(n, k, roots, cap)
-            assert _corec.constraint_roots(n, k) == _corepy.constraint_roots(n, k)
 
 
 def _run_with_env(value: str | None) -> subprocess.CompletedProcess:

@@ -285,6 +285,14 @@ def test_worker_cap_env_garbage_is_usage_error(capsys, monkeypatch):
     assert "MONOMOD_MAX_WORKERS" in capsys.readouterr().err
 
 
+def _env_with_src() -> dict[str, str]:
+    """os.environ with the directory of the imported monomod leading PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(monomod.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _assert_size_17_5(cmd: list[str], env: dict[str, str] | None = None) -> None:
     proc = subprocess.run(
         [*cmd, "size", "17", "5"], capture_output=True, text=True, timeout=60, env=env
@@ -313,10 +321,7 @@ def test_console_script_installed():
         "sys.argv[0] = 'monomod'\n"
         f"sys.exit({attr}())\n"
     )
-    env = dict(os.environ)
-    src = str(Path(monomod.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    _assert_size_17_5([sys.executable, "-c", wrapper], env)
+    _assert_size_17_5([sys.executable, "-c", wrapper], _env_with_src())
 
     exe = shutil.which("monomod")
     if exe is not None:
@@ -332,3 +337,22 @@ def test_run_callable_from_fresh_interpreter():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "N=6 omega=5"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    """A reader that leaves early (`monomod ... | head -1`) ends the run
+    with 141 = 128 + SIGPIPE and nothing on stderr.  The table is larger
+    than a pipe buffer, so the writer is still writing when the pipe closes."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "monomod.cli", "sizes-table", "20011"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_env_with_src(),
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first == b"k=1 r=3\n"
+    assert code == 141
+    assert stderr == b""

@@ -127,7 +127,14 @@ def test_checkpoint_resume_reconstructs_job(tmp_path):
     with open(path, "w") as fh:
         fh.write(
             json.dumps(
-                {"job": "quasi", "lo": 2, "hi": 1000, "completed_to": 500, "anomalies": []}
+                {
+                    "job": "quasi",
+                    "lo": 2,
+                    "hi": 1000,
+                    "include_odd": False,
+                    "completed_to": 500,
+                    "anomalies": [],
+                }
             )
             + "\n"
         )
@@ -149,7 +156,14 @@ def test_fresh_checkpoint_starts_at_lo(tmp_path):
 
 def test_corrupt_checkpoint_names_the_line(tmp_path):
     path = str(tmp_path / "bad.ckpt")
-    good = {"job": "quasi", "lo": 2, "hi": 50, "completed_to": 10, "anomalies": []}
+    good = {
+        "job": "quasi",
+        "lo": 2,
+        "hi": 50,
+        "include_odd": False,
+        "completed_to": 10,
+        "anomalies": [],
+    }
     with open(path, "w") as fh:
         fh.write(json.dumps(good) + "\n")
         fh.write("{truncated\n")
@@ -168,6 +182,29 @@ def test_checkpoint_for_different_job_is_rejected(tmp_path):
         run_scan(ScanJob(kind="monomial", lo=2, hi=40, checkpoint=path))
     with pytest.raises(CheckpointError):
         run_scan(ScanJob(kind="quasi", lo=2, hi=99, checkpoint=path))
+
+
+def test_checkpoint_records_include_odd(tmp_path):
+    even_only = str(tmp_path / "even.ckpt")
+    run_scan(ScanJob(kind="semi", lo=4, hi=60, chunk=4, checkpoint=even_only), max_chunks=2)
+    with pytest.raises(CheckpointError, match="include_odd=False, not .* include_odd=True"):
+        run_scan(
+            ScanJob(kind="semi", lo=4, hi=60, chunk=4, checkpoint=even_only, include_odd=True)
+        )
+
+    with_odd = str(tmp_path / "odd.ckpt")
+    job = ScanJob(kind="semi", lo=4, hi=60, chunk=4, checkpoint=with_odd, include_odd=True)
+    partial = run_scan(job, max_chunks=2)
+    resumed = run_scan(checkpoint_resume(with_odd))
+    full = run_scan(ScanJob(kind="semi", lo=4, hi=60, include_odd=True))
+    assert partial.rows + resumed.rows == full.rows
+
+    records = [json.loads(line) for line in open(with_odd)]
+    del records[-1]["include_odd"]
+    with open(with_odd, "w") as fh:
+        fh.writelines(json.dumps(record) + "\n" for record in records)
+    with pytest.raises(CheckpointError, match="missing field 'include_odd'"):
+        checkpoint_resume(with_odd)
 
 
 def test_empty_checkpoint_file_errors_on_resume(tmp_path):

@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mk, mul, pm, solutions_of_length, tuple_chain
-from monomod import core
 from monomod.modring import ResidueRing
 from monomod.solutions import (
     ModTuple,
     _prime_power_roots,
-    _roots_by_crt,
     bordered_constraint_roots,
     equivalent,
     oplus,
@@ -160,6 +158,10 @@ def test_constraint_roots_examples():
             assert bordered_constraint_roots(ResidueRing(p), k) == sorted({0, k})
     assert bordered_constraint_roots(ResidueRing(12), 4) == [0, 4, 6, 10]
     assert bordered_constraint_roots(ResidueRing(30), 8) == [0, 8, 18, 20]
+    # either side of the modulus where enumeration used to hand over to CRT
+    for n, k in ((10**6, 2**4 * 5**3), (10**6 + 1, 9901)):
+        expected = [x for x in range(n) if x * (x - k) % n == 0]
+        assert bordered_constraint_roots(ResidueRing(n), k) == expected
 
 
 @given(st.integers(2, 400), st.integers(-400, 400))
@@ -179,11 +181,13 @@ def test_prime_power_roots_match_brute_force(q, p, e):
 @given(st.integers(2, 5000), st.integers(0, 4999))
 @settings(max_examples=60, deadline=None)
 def test_crt_root_path_matches_enumeration_path(n, k):
-    assert _roots_by_crt(n, k % n) == core.constraint_roots(n, k % n)
+    assert bordered_constraint_roots(ResidueRing(n), k) == [
+        x for x in range(n) if x * (x - k) % n == 0
+    ]
 
 
 def test_roots_above_enumeration_limit_use_crt_path():
-    # order of magnitude past the enumeration cutoff; checked structurally
+    # too large to enumerate, so checked structurally
     n = 2**4 * 3**3 * 5**4 * 7 * 11 * 13  # 270270000
     ring = ResidueRing(n)
     for k in (0, 1, 90090, 2**4 * 3**3 * 5**4):

@@ -1,10 +1,32 @@
 """Pure-Python compute kernel.
 
 Two hot loops, both walking powers of the companion matrix
-[[k,-1],[1,0]] modulo N: order_pm stops when a power hits +/-Id, and
-order_and_reduction also spots the first power equal to one of a small
-set of target matrices.  The compiled kernel in _corec.pyx mirrors this
+M = [[k,-1],[1,0]] modulo N: order_pm stops when a power hits +/-Id, and
+order_and_reduction also spots the first power equal to a bordered
+target s*(M(x)**-1)**2.  The compiled kernel in _corec.pyx mirrors this
 module function for function; keep the two in lockstep.
+
+The walk keeps one sequence.  With a_{-1} = 0, a_0 = 1 and
+a_t = k*a_{t-1} - a_{t-2},
+
+    M**t = [[a_t, -a_{t-1}], [a_{t-1}, a_t - k*a_{t-1}]],
+
+so the state is (a, c) = (a_t, a_{t-1}) and each step costs one modular
+multiplication.  M**t = +/-Id exactly when c = 0 and a = +/-1.
+
+For the reduction search, (M(x)**-1)**2 = [[-1, x], [-x, x*x - 1]], and
+M**t = s*(M(x)**-1)**2 compares four entries.  The top-left one gives
+a = -s; with a*a = 1 the bottom-left one then gives x = a*c (so x = c
+when a = 1 and x = -c when a = -1), and the top-right one follows from
+it.  The bottom-right one asks a - k*c = s*(x*x - 1), which reduces to
+x*(x-k) = 0 and already holds: det M**t = 1 reads a*(a - k*c) + c*c = 1,
+i.e. c*c = k*a*c, i.e. x*x = k*x.  So a step can match only when
+a = +/-1, and then only the one border x = a*c with s = -a.  The walk
+tests that x against a frozenset of the candidates instead of comparing
+every target on every step.  For N > 2, +1 and -1 differ, so at most one
+(x, s) matches per step and the first match in t is the first witness in
+(length, x) order.  For N = 2 the two signs coincide and the walk reads
+s = +1, as the four-entry comparison with +1 tried first did.
 
 This version works for arbitrary N (Python integers), so it also serves
 as the overflow-safe path for moduli past the compiled kernel's 2**32
@@ -19,23 +41,23 @@ CAP_MESSAGE = "power walk exceeded its cap; this is a bug, not a bad input"
 def order_pm(N: int, k: int, cap: int) -> tuple[int, int]:
     """Smallest r >= 1 with [[k,-1],[1,0]]**r = +/-Id mod N, and the sign.
 
-    The walk is the companion recurrence: multiplying by [[k,-1],[1,0]]
-    on the left costs two modular multiplications.  `cap` bounds the
-    number of steps; hitting it raises RuntimeError (the order always
-    exists, so the cap only trips on an implementation bug).
+    One modular multiplication per step (see the module docstring).
+    `cap` bounds the number of steps; hitting it raises RuntimeError
+    (the order always exists, so the cap only trips on an
+    implementation bug).
     """
     k %= N
-    a, b, c, d = k, N - 1, 1, 0
+    a, c = k, 1
     t = 1
     while True:
-        if b == 0 and c == 0:
-            if a == 1 and d == 1:
+        if c == 0:
+            if a == 1:
                 return t, 1
-            if a == N - 1 and d == N - 1:
+            if a == N - 1:
                 return t, -1
         if t > cap:
             raise RuntimeError(CAP_MESSAGE)
-        a, b, c, d = (k * a - c) % N, (k * b - d) % N, a, b
+        a, c = (k * a - c) % N, a
         t += 1
 
 
@@ -46,40 +68,30 @@ def order_and_reduction(
     power matching +/-(M(x)**2)**-1 for any candidate x in `roots`.
 
     A match at step t means (x, k, ..., k, x) of length t+2 multiplies
-    out to sign * Id.  Candidates must be sorted ascending and exclude
-    0 and k (those two can only ever match at steps >= r-2 and are
-    useless to callers looking for lengths <= r-1).
+    out to sign * Id.  Candidates must be roots of x*(x-k) = 0 and
+    exclude 0 and k (those two can only ever match at steps >= r-2 and
+    are useless to callers looking for lengths <= r-1).  Each step costs
+    one modular multiplication; only steps with a power's top-left entry
+    equal to +/-1 look at the candidates, with one set lookup.
 
     Returns (r, eps, t0, x0, s0); t0 = 0 when no candidate matched
     before the walk ended.
     """
     k %= N
-    targets = []
-    for x in roots:
-        x %= N
-        # (M(x)**-1)**2 = [[-1, x], [-x, x*x - 1]]
-        ta, tb, tc, td = N - 1, x, (N - x) % N, (x * x - 1) % N
-        targets.append((x, ta, tb, tc, td, (N - ta) % N, (N - tb) % N,
-                        (N - tc) % N, (N - td) % N))
-
-    a, b, c, d = k, N - 1, 1, 0
+    targets = frozenset(x % N for x in roots)
+    m = N - 1
+    a, c = k, 1
     t = 1
     t0 = x0 = s0 = 0
     while True:
-        if b == 0 and c == 0:
-            if a == 1 and d == 1:
-                return t, 1, t0, x0, s0
-            if a == N - 1 and d == N - 1:
-                return t, -1, t0, x0, s0
-        if t0 == 0:
-            for x, ta, tb, tc, td, na, nb, nc, nd in targets:
-                if a == ta and b == tb and c == tc and d == td:
-                    t0, x0, s0 = t, x, 1
-                    break
-                if a == na and b == nb and c == nc and d == nd:
-                    t0, x0, s0 = t, x, -1
-                    break
+        if a == 1 or a == m:
+            if c == 0:
+                return t, 1 if a == 1 else -1, t0, x0, s0
+            if t0 == 0:
+                x = c if a == 1 else N - c
+                if x in targets:
+                    t0, x0, s0 = t, x, 1 if a == m else -1
         if t > cap:
             raise RuntimeError(CAP_MESSAGE)
-        a, b, c, d = (k * a - c) % N, (k * b - d) % N, a, b
+        a, c = (k * a - c) % N, a
         t += 1

@@ -299,13 +299,17 @@ def _cmd_scan(args) -> int:
     collected: list[dict] = []
 
     def stream(rows: list[dict]) -> None:
+        if args.format == "csv":
+            collected.extend(rows)
+            return
         if args.format == "json":
             for row in rows:
                 print(json.dumps(row))
-        elif args.format == "text":
-            _emit(args, rows)
         else:
-            collected.extend(rows)
+            _emit(args, rows)
+        # run_scan appends the chunk's checkpoint record next; a crash
+        # must not leave that record ahead of the output.
+        sys.stdout.flush()
 
     result = run_scan(job, on_rows=stream, max_chunks=args.max_chunks)
     if args.format == "csv":

@@ -1,7 +1,9 @@
 """Backend selection for the compute kernel.
 
 The kernel is two walks over powers of [[k,-1],[1,0]] modulo N:
-order_pm and order_and_reduction.
+order_pm and order_and_reduction.  Each step costs one modular
+multiplication, and order_and_reduction tests a candidate border only at
+steps where the power's top-left entry is +/-1; _corepy derives both.
 
 The compiled kernel (_corec, built from Cython) is preferred when
 present; the pure-Python twin (_corepy) is the fallback and also covers

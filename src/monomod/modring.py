@@ -8,6 +8,9 @@ M(a_n) * M(a_{n-1}) * ... * M(a_1), indices descending left to right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+from ._numbers import factorize, inv_mod
 
 
 @dataclass(frozen=True)
@@ -22,6 +25,21 @@ class ResidueRing:
 
     def canon(self, v: int) -> int:
         return v % self.modulus
+
+    @cached_property
+    def crt_idempotents(self) -> tuple[tuple[int, int, int], ...]:
+        """(p, e, idempotent) for each prime power p**e exactly dividing
+        N, p ascending.  The idempotent is 1 mod p**e and 0 mod N/p**e,
+        so the residue with components r_i mod p_i**e_i is
+        sum(r_i * idempotent_i) mod N.  Computed on first use and kept
+        with the ring, so a scan factors each modulus once."""
+        n = self.modulus
+        out = []
+        for p, e in sorted(factorize(n).items()):
+            q = p**e
+            rest = n // q
+            out.append((p, e, rest * inv_mod(rest, q) % n))
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -178,19 +178,29 @@ def _predicted(kind: str, n: int) -> bool | None:
     return None
 
 
-def _read_last_record(path: str) -> dict | None:
-    """Last checkpoint record, or None for a fresh (absent/empty) file.
-    Every line must parse; a corrupt line is an error naming it."""
+def _read_checkpoint(path: str) -> tuple[dict | None, int | None]:
+    """Last checkpoint record (None for a fresh, absent or empty file) and
+    the offset of a torn final line (None when there is none).
+
+    Each record is appended as one line, so a final line without its
+    newline is an append that a crash cut short: it is skipped, and
+    run_scan truncates it away before appending again.  Every complete
+    line must parse; a corrupt one is an error naming it.
+    """
     if not os.path.exists(path):
-        return None
+        return None, None
     last = None
-    with open(path, encoding="utf-8") as fh:
+    offset = 0
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.strip() == "":
+            if not line.endswith(b"\n"):
+                return last, offset  # only the final line can lack it
+            offset += len(line)
+            if line.strip() == b"":
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise CheckpointError(
                     f"corrupt checkpoint record at line {lineno} of {path}: {exc}"
                 ) from None
@@ -201,13 +211,13 @@ def _read_last_record(path: str) -> dict | None:
                         f"missing field {key!r}"
                     )
             last = record
-    return last
+    return last, None
 
 
 def checkpoint_resume(path: str) -> ScanJob:
     """Rebuild the ScanJob a checkpoint belongs to; running it resumes
     after the last completed chunk."""
-    record = _read_last_record(path)
+    record, _ = _read_checkpoint(path)
     if record is None:
         raise CheckpointError(f"no checkpoint records in {path}")
     return ScanJob(
@@ -238,7 +248,8 @@ def run_scan(
 ) -> ScanResult:
     """Execute a range scan, flushing chunk results in ascending order.
 
-    on_rows receives each flushed chunk (for streaming output);
+    on_rows receives each flushed chunk (for streaming output) before
+    the checkpoint record that covers it is appended;
     max_chunks stops cleanly after that many chunks, leaving a
     resumable checkpoint.
     """
@@ -248,7 +259,7 @@ def run_scan(
     anomalies: list[dict] = []
     completed = job.lo - 1
     if job.checkpoint:
-        record = _read_last_record(job.checkpoint)
+        record, torn = _read_checkpoint(job.checkpoint)
         if record is not None:
             recorded = (record["job"], record["lo"], record["hi"], record["include_odd"])
             if recorded != (job.kind, job.lo, job.hi, job.include_odd):
@@ -261,6 +272,11 @@ def run_scan(
             start = record["completed_to"] + 1
             anomalies = list(record["anomalies"])
             completed = record["completed_to"]
+        # Opening here also fails on an unwritable path before any row
+        # goes out.
+        with open(job.checkpoint, "ab") as fh:
+            if torn is not None:
+                fh.truncate(torn)
     result = ScanResult(job, anomalies=anomalies, completed_to=completed)
     candidates = [
         n
@@ -282,8 +298,13 @@ def run_scan(
         _drain(job, result, args, produced, on_rows)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            produced = pool.map(_scan_chunk, args)
-            _drain(job, result, args, produced, on_rows)
+            try:
+                _drain(job, result, args, pool.map(_scan_chunk, args), on_rows)
+            except BaseException:
+                # Leaving the with block waits for every chunk still
+                # queued; drop those first, since nothing will read them.
+                pool.shutdown(cancel_futures=True)
+                raise
     return result
 
 
@@ -308,10 +329,12 @@ def _drain(
                 )
         result.rows.extend(rows)
         result.completed_to = ns[-1]
-        if job.checkpoint:
-            _append_checkpoint(job, result)
+        # Rows go out before the record that covers them, so a crash can
+        # repeat a chunk on resume but never skip one.
         if on_rows is not None:
             on_rows(rows)
+        if job.checkpoint:
+            _append_checkpoint(job, result)
 
 
 def _append_checkpoint(job: ScanJob, result: ScanResult) -> None:

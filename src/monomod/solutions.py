@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._numbers import crt, factorize
 from .modring import ResidueRing, chain, pm_id
 
 
@@ -92,11 +91,12 @@ def bordered_constraint_roots(ring: ResidueRing, k: int) -> list[int]:
 
     Any solution of the bordered form (x, k, ..., k, x) forces this
     constraint on x, so these are the only candidate border values.
-    They are solved per prime power of N and recombined by CRT.
+    They are solved per prime power of N and recombined with the ring's
+    CRT idempotents.
     """
     k = ring.canon(k)
-    combos: list[list[tuple[int, int]]] = [[]]
-    for p, e in sorted(factorize(ring.modulus).items()):
-        q = p**e
-        combos = [c + [(r, q)] for c in combos for r in _prime_power_roots(p, e, k)]
-    return sorted(crt(c)[0] for c in combos)
+    sums = [0]
+    for p, e, idempotent in ring.crt_idempotents:
+        lifted = [r * idempotent for r in _prime_power_roots(p, e, k)]
+        sums = [s + v for s in sums for v in lifted]
+    return sorted(s % ring.modulus for s in sums)

@@ -14,6 +14,7 @@ import pytest
 
 import monomod
 from conftest import load_data
+from monomod import scan
 from monomod.cli import run
 from monomod.modring import ResidueRing
 from monomod.monomial import minimal_size
@@ -208,7 +209,40 @@ def test_scan_checkpoint_unwritable_path_is_io_error(capsys, tmp_path):
         ["scan", "--kind", "quasi", "--from", "2", "--to", "20", "--checkpoint", missing]
     )
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""  # refused before any row went out
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_scan_output_is_flushed_before_each_checkpoint_record(monkeypatch, tmp_path, fmt):
+    class Stdout:
+        def __init__(self):
+            self.lines, self.unflushed = 0, 0
+
+        def write(self, text):
+            self.unflushed += text.count("\n")
+            return len(text)
+
+        def flush(self):
+            self.lines += self.unflushed
+            self.unflushed = 0
+
+    stdout = Stdout()
+    flushed_at_append = []
+
+    def append(job, result):
+        flushed_at_append.append((stdout.unflushed, stdout.lines))
+        append_checkpoint(job, result)
+
+    append_checkpoint = scan._append_checkpoint
+    monkeypatch.setattr(scan, "_append_checkpoint", append)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    path = str(tmp_path / "scan.ckpt")
+    argv = ["scan", "--kind", "quasi", "--from", "2", "--to", "40", "--chunk", "10",
+            "--checkpoint", path, "--format", fmt]
+    assert run(argv) == 0
+    assert flushed_at_append == [(0, 10), (0, 20), (0, 30), (0, 39)]
 
 
 def test_scan_checkpoint_mismatch_is_usage_error(capsys, tmp_path):

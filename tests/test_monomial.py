@@ -4,6 +4,8 @@ search vs full scan)."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,6 +43,61 @@ def test_minimal_size_is_minimal_exhaustively():
             assert pm_id(power) == eps
             if n == 2:
                 assert eps == 1  # Id = -Id there; +1 by convention
+
+
+def _reference_walk(n, k, roots):
+    """The kernel walk as it was before the one-sequence rewrite, kept as
+    an oracle: all four entries of M(k)**t, compared on every step with
+    both signed targets +/-(M(x)**-1)**2 of every candidate x."""
+    k %= n
+    targets = []
+    for x in roots:
+        x %= n
+        plus = (n - 1, x, (n - x) % n, (x * x - 1) % n)
+        minus = tuple((n - v) % n for v in plus)
+        targets.append((x, plus, minus))
+    a, b, c, d = k, n - 1, 1, 0
+    t = 1
+    t0 = x0 = s0 = 0
+    while True:
+        if b == 0 and c == 0:
+            if a == 1 and d == 1:
+                return t, 1, t0, x0, s0
+            if a == n - 1 and d == n - 1:
+                return t, -1, t0, x0, s0
+        if t0 == 0:
+            for x, plus, minus in targets:
+                if (a, b, c, d) == plus:
+                    t0, x0, s0 = t, x, 1
+                    break
+                if (a, b, c, d) == minus:
+                    t0, x0, s0 = t, x, -1
+                    break
+        a, b, c, d = (k * a - c) % n, (k * b - d) % n, a, b
+        t += 1
+
+
+def _assert_kernel_matches_reference(n, k):
+    roots = tuple(
+        x for x in bordered_constraint_roots(ResidueRing(n), k) if x not in (0, k)
+    )
+    expected = _reference_walk(n, k, roots)
+    cap = n**3 + 1
+    assert core.order_and_reduction(n, k, roots, cap) == expected, (n, k)
+    assert core.order_pm(n, k, cap) == expected[:2], (n, k)
+
+
+def test_kernel_matches_reference_walk_exhaustively():
+    for n in range(2, 301):
+        for k in range(n):
+            _assert_kernel_matches_reference(n, k)
+
+
+def test_kernel_matches_reference_walk_on_large_moduli():
+    rng = random.Random(20261018)
+    for _ in range(12):
+        n = rng.randrange(10**6, 4 * 10**6 + 1)
+        _assert_kernel_matches_reference(n, rng.randrange(n))
 
 
 def test_walk_cap_turns_missed_order_into_runtime_error():

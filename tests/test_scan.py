@@ -8,6 +8,7 @@ import json
 import pytest
 
 from conftest import load_data
+from monomod import scan
 from monomod.classify import omega_count, predict_quasi
 from monomod.modring import ResidueRing
 from monomod.scan import (
@@ -120,6 +121,85 @@ def test_checkpoint_resume_round_trip(tmp_path):
     # a further run has nothing left to do
     idle = run_scan(job)
     assert idle.rows == [] and idle.completed_to == 90
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rows_go_out_before_their_checkpoint_record(tmp_path, workers):
+    path = str(tmp_path / "scan.ckpt")
+    seen = []
+
+    def on_rows(rows):
+        record, _ = scan._read_checkpoint(path)
+        covered = record["completed_to"] if record is not None else 1
+        seen.append((covered, rows[0]["N"]))
+
+    run_scan(
+        ScanJob(kind="quasi", lo=2, hi=60, chunk=8, checkpoint=path, workers=workers),
+        on_rows=on_rows,
+    )
+    assert len(seen) == 8
+    assert all(covered < first for covered, first in seen), seen
+
+
+def test_consumer_error_cancels_queued_chunks(monkeypatch):
+    shutdowns = []
+
+    class RecordingPool(scan.ProcessPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            shutdowns.append(cancel_futures)
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    def on_rows(rows):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+    with pytest.raises(BrokenPipeError):
+        run_scan(ScanJob(kind="quasi", lo=2, hi=400, chunk=4, workers=2), on_rows=on_rows)
+    assert shutdowns[0] is True
+
+    shutdowns.clear()
+    run_scan(ScanJob(kind="quasi", lo=2, hi=40, chunk=4, workers=2))
+    assert shutdowns == [False]
+
+
+def test_torn_final_checkpoint_line_is_dropped(tmp_path):
+    path = str(tmp_path / "scan.ckpt")
+    job = ScanJob(kind="quasi", lo=2, hi=90, chunk=10, checkpoint=path)
+    partial = run_scan(job, max_chunks=3)
+    with open(path) as fh:
+        intact = fh.read()
+    with open(path, "a") as fh:
+        fh.write('{"job":"quasi","lo":2,"hi":90,"include_o')
+    assert checkpoint_resume(path) == ScanJob(kind="quasi", lo=2, hi=90, checkpoint=path)
+
+    resumed = run_scan(job)
+    full = run_scan(ScanJob(kind="quasi", lo=2, hi=90, chunk=10))
+    assert partial.rows + resumed.rows == full.rows
+    with open(path) as fh:
+        text = fh.read()
+    assert text.startswith(intact) and text.endswith("\n")
+    assert [json.loads(line)["completed_to"] for line in text.splitlines()] == [
+        11, 21, 31, 41, 51, 61, 71, 81, 90
+    ]
+
+    # a checkpoint holding only a torn first append starts afresh
+    with open(path, "w") as fh:
+        fh.write('{"job":"qua')
+    assert run_scan(job).rows == full.rows
+
+
+def test_unterminated_line_before_others_is_corruption(tmp_path):
+    path = str(tmp_path / "scan.ckpt")
+    job = ScanJob(kind="quasi", lo=2, hi=90, chunk=10, checkpoint=path)
+    run_scan(job, max_chunks=1)
+    with open(path) as fh:
+        good = fh.read()
+    with open(path, "w") as fh:
+        fh.write('{"job":"quasi","lo":2,' + good)
+    with pytest.raises(CheckpointError, match="line 1"):
+        run_scan(job)
+    with pytest.raises(CheckpointError, match="line 1"):
+        checkpoint_resume(path)
 
 
 def test_checkpoint_resume_reconstructs_job(tmp_path):

@@ -1,54 +1,94 @@
-"""Backend selection for the compute kernel.
+"""The compute kernel: two walks over powers of M = [[k,-1],[1,0]] mod N.
 
-The kernel is two walks over powers of [[k,-1],[1,0]] modulo N:
-order_pm and order_and_reduction.  Each step costs one modular
-multiplication, and order_and_reduction tests a candidate border only at
-steps where the power's top-left entry is +/-1; _corepy derives both.
+order_pm stops when a power hits +/-Id, and order_and_reduction also
+spots the first power equal to a bordered target s*(M(x)**-1)**2.
+Both use Python integers, so they are exact for every N.
 
-The compiled kernel (_corec, built from Cython) is preferred when
-present; the pure-Python twin (_corepy) is the fallback and also covers
-moduli at or above 2**32, where the compiled kernel's uint64 arithmetic
-would overflow.
+The walk keeps one sequence.  With a_{-1} = 0, a_0 = 1 and
+a_t = k*a_{t-1} - a_{t-2},
 
-Set MONOMOD_BACKEND=py or MONOMOD_BACKEND=c to force a backend; forcing
-"c" raises at import time if the extension was not built.
+    M**t = [[a_t, -a_{t-1}], [a_{t-1}, a_t - k*a_{t-1}]],
+
+so the state is (a, c) = (a_t, a_{t-1}) and each step costs one modular
+multiplication.  M**t = +/-Id exactly when c = 0 and a = +/-1.
+
+For the reduction search, (M(x)**-1)**2 = [[-1, x], [-x, x*x - 1]], and
+M**t = s*(M(x)**-1)**2 compares four entries.  The top-left one gives
+a = -s; with a*a = 1 the bottom-left one then gives x = a*c (so x = c
+when a = 1 and x = -c when a = -1), and the top-right one follows from
+it.  The bottom-right one asks a - k*c = s*(x*x - 1), which reduces to
+x*(x-k) = 0 and already holds: det M**t = 1 reads a*(a - k*c) + c*c = 1,
+i.e. c*c = k*a*c, i.e. x*x = k*x.  So a step can match only when
+a = +/-1, and then only the one border x = a*c with s = -a.  The walk
+tests that x against a frozenset of the candidates instead of comparing
+every target on every step.  For N > 2, +1 and -1 differ, so at most one
+(x, s) matches per step and the first match in t is the first witness in
+(length, x) order.  For N = 2 the two signs coincide and the walk reads
+s = +1, as the four-entry comparison with +1 tried first did.
 """
 
 from __future__ import annotations
 
-import os
+# Benchmark records and the benchmark's run guard read this name.
+BACKEND = "py"
 
-from . import _corepy
-
-_forced = os.environ.get("MONOMOD_BACKEND", "").strip().lower()
-
-if _forced == "py":
-    _impl = _corepy
-elif _forced == "c":
-    from . import _corec as _impl  # type: ignore[no-redef]
-elif _forced == "":
-    try:
-        from . import _corec as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _corepy
-else:
-    raise RuntimeError(f"MONOMOD_BACKEND must be 'c' or 'py', not {_forced!r}")
-
-BACKEND = "c" if _impl.__name__.endswith("_corec") else "py"
-
-# Compiled arithmetic is exact only below this modulus.
-_COMPILED_LIMIT = 2**32
+CAP_MESSAGE = "power walk exceeded its cap; this is a bug, not a bad input"
 
 
 def order_pm(N: int, k: int, cap: int) -> tuple[int, int]:
-    if N >= _COMPILED_LIMIT:
-        return _corepy.order_pm(N, k, cap)
-    return _impl.order_pm(N, k, cap)
+    """Smallest r >= 1 with [[k,-1],[1,0]]**r = +/-Id mod N, and the sign.
+
+    One modular multiplication per step (see the module docstring).
+    `cap` bounds the number of steps; hitting it raises RuntimeError
+    (the order always exists, so the cap only trips on an
+    implementation bug).
+    """
+    k %= N
+    a, c = k, 1
+    t = 1
+    while True:
+        if c == 0:
+            if a == 1:
+                return t, 1
+            if a == N - 1:
+                return t, -1
+        if t > cap:
+            raise RuntimeError(CAP_MESSAGE)
+        a, c = (k * a - c) % N, a
+        t += 1
 
 
 def order_and_reduction(
     N: int, k: int, roots: tuple[int, ...], cap: int
 ) -> tuple[int, int, int, int, int]:
-    if N >= _COMPILED_LIMIT:
-        return _corepy.order_and_reduction(N, k, roots, cap)
-    return _impl.order_and_reduction(N, k, roots, cap)
+    """One walk that finds both the order of [[k,-1],[1,0]] and the first
+    power matching +/-(M(x)**2)**-1 for any candidate x in `roots`.
+
+    A match at step t means (x, k, ..., k, x) of length t+2 multiplies
+    out to sign * Id.  Candidates must be roots of x*(x-k) = 0 and
+    exclude 0 and k (those two can only ever match at steps >= r-2 and
+    are useless to callers looking for lengths <= r-1).  Each step costs
+    one modular multiplication; only steps with a power's top-left entry
+    equal to +/-1 look at the candidates, with one set lookup.
+
+    Returns (r, eps, t0, x0, s0); t0 = 0 when no candidate matched
+    before the walk ended.
+    """
+    k %= N
+    targets = frozenset(x % N for x in roots)
+    m = N - 1
+    a, c = k, 1
+    t = 1
+    t0 = x0 = s0 = 0
+    while True:
+        if a == 1 or a == m:
+            if c == 0:
+                return t, 1 if a == 1 else -1, t0, x0, s0
+            if t0 == 0:
+                x = c if a == 1 else N - c
+                if x in targets:
+                    t0, x0, s0 = t, x, 1 if a == m else -1
+        if t > cap:
+            raise RuntimeError(CAP_MESSAGE)
+        a, c = (k * a - c) % N, a
+        t += 1

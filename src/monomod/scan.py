@@ -204,6 +204,11 @@ def _read_checkpoint(path: str) -> tuple[dict | None, int | None]:
                 raise CheckpointError(
                     f"corrupt checkpoint record at line {lineno} of {path}: {exc}"
                 ) from None
+            if not isinstance(record, dict):
+                raise CheckpointError(
+                    f"corrupt checkpoint record at line {lineno} of {path}: "
+                    "not a JSON object"
+                )
             for key in ("job", "lo", "hi", "include_odd", "completed_to", "anomalies"):
                 if key not in record:
                     raise CheckpointError(
@@ -251,10 +256,13 @@ def run_scan(
     on_rows receives each flushed chunk (for streaming output) before
     the checkpoint record that covers it is appended;
     max_chunks stops cleanly after that many chunks, leaving a
-    resumable checkpoint.
+    resumable checkpoint.  The pool never gets more workers than there
+    are chunks, and one worker runs in this process.
     """
     if job.kind not in SCAN_KINDS:
         raise ValueError(f"run_scan cannot execute kind {job.kind!r}")
+    if max_chunks is not None and max_chunks < 0:
+        raise ValueError("max_chunks must be >= 0")
     start = job.lo
     anomalies: list[dict] = []
     completed = job.lo - 1
@@ -292,7 +300,7 @@ def run_scan(
     if not chunks:
         return result
     args = [(job.kind, ns) for ns in chunks]
-    workers = _effective_workers(job.workers)
+    workers = min(_effective_workers(job.workers), len(chunks))
     if workers == 1:
         produced: Iterable[list[dict]] = map(_scan_chunk, args)
         _drain(job, result, args, produced, on_rows)

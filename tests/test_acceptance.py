@@ -57,11 +57,8 @@ def test_criterion_03_quasi_membership_and_tags():
 
 def test_criterion_04_semi_even_membership_and_tags():
     frozen = [{"N": n, "tag": tag} for n, tag in load_data("semi_even_members")]
-    if core.BACKEND == "c":
-        assert emit_appendix("D") == frozen
-        return
-    # pure-Python fallback keeps the runtime budget by checking the
-    # prefix here; the full range runs under the slow marker below
+    # the prefix keeps the runtime budget; the full range runs under the
+    # slow marker below
     result = run_scan(ScanJob(kind="semi", lo=4, hi=1200))
     table = [
         {"N": row["N"], "tag": semi_family(row["N"]) or "numerical_only"}
@@ -73,8 +70,6 @@ def test_criterion_04_semi_even_membership_and_tags():
 
 @pytest.mark.slow
 def test_criterion_04_semi_even_full_range_pure_backend():
-    if core.BACKEND == "c":
-        pytest.skip("full range already covered by the compiled-backend test")
     frozen = [{"N": n, "tag": tag} for n, tag in load_data("semi_even_members")]
     assert emit_appendix("D") == frozen
 

@@ -257,6 +257,15 @@ def test_scan_checkpoint_mismatch_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_scan_negative_max_chunks_is_usage_error(capsys):
+    argv = ["scan", "--kind", "quasi", "--from", "2", "--to", "200", "--chunk", "50",
+            "--max-chunks", "-1"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_chunks" in captured.err
+
+
 def test_scan_resume_via_cli(capsys, tmp_path):
     path = str(tmp_path / "scan.ckpt")
     base = ["scan", "--kind", "quasi", "--from", "2", "--to", "40", "--chunk", "10",
@@ -368,6 +377,7 @@ def test_run_callable_from_fresh_interpreter():
         capture_output=True,
         text=True,
         timeout=60,
+        env=_env_with_src(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "N=6 omega=5"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monomod import core
-from monomod._corepy import CAP_MESSAGE
+from monomod.core import CAP_MESSAGE
 from monomod._numbers import sieve_primes
 from monomod.modring import ResidueRing, identity, monomial_power, pm_id
 from monomod.monomial import (
@@ -240,7 +240,7 @@ def test_odd_prime_power_size_grows_by_factor_p_or_not_at_all():
 
 
 def test_backend_dispatch_handles_huge_moduli():
-    # moduli past 2**32 must route to the pure path and stay exact
+    # the kernel uses Python integers, so moduli past 2**32 stay exact
     n = 2**32 + 1
     assert core.order_pm(n, 1, 100) == (3, -1)
     r, eps = minimal_size(ResidueRing(n), 0)

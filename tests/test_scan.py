@@ -162,6 +162,31 @@ def test_consumer_error_cancels_queued_chunks(monkeypatch):
     assert shutdowns == [False]
 
 
+def test_pool_is_no_larger_than_the_chunk_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool(scan.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+    one_chunk = run_scan(ScanJob(kind="quasi", lo=2, hi=20, workers=4))
+    assert sizes == []  # a single chunk runs in this process
+    two_chunks = run_scan(ScanJob(kind="quasi", lo=2, hi=20, chunk=10, workers=4))
+    assert sizes == [2]
+    assert one_chunk.rows == two_chunks.rows
+
+
+def test_negative_max_chunks_is_rejected(tmp_path):
+    path = tmp_path / "scan.ckpt"
+    job = ScanJob(kind="quasi", lo=2, hi=200, chunk=50, checkpoint=str(path))
+    with pytest.raises(ValueError, match="max_chunks"):
+        run_scan(job, max_chunks=-1)
+    assert not path.exists()  # refused before the checkpoint was opened
+    assert run_scan(job, max_chunks=0).rows == []
+
+
 def test_torn_final_checkpoint_line_is_dropped(tmp_path):
     path = str(tmp_path / "scan.ckpt")
     job = ScanJob(kind="quasi", lo=2, hi=90, chunk=10, checkpoint=path)
@@ -252,6 +277,21 @@ def test_corrupt_checkpoint_names_the_line(tmp_path):
     with open(path, "w") as fh:
         fh.write(json.dumps({"job": "quasi", "lo": 2}) + "\n")
     with pytest.raises(CheckpointError, match="line 1"):
+        checkpoint_resume(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["5", "[1,2]", '"job lo hi include_odd completed_to anomalies"'],
+    ids=["number", "list", "string"],
+)
+def test_checkpoint_record_that_is_not_an_object_is_corruption(tmp_path, line):
+    path = str(tmp_path / "bad.ckpt")
+    with open(path, "w") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(CheckpointError, match="line 1 .*not a JSON object"):
+        run_scan(ScanJob(kind="quasi", lo=2, hi=20, checkpoint=path))
+    with pytest.raises(CheckpointError, match="line 1 .*not a JSON object"):
         checkpoint_resume(path)
 
 

@@ -25,6 +25,15 @@ every target on every step.  For N > 2, +1 and -1 differ, so at most one
 (x, s) matches per step and the first match in t is the first witness in
 (length, x) order.  For N = 2 the two signs coincide and the walk reads
 s = +1, as the four-entry comparison with +1 tried first did.
+
+A walk that only needs the witness may stop at its first match.  Say
+step t0 matches border x, not 0 or k, with sign s, so a_{t0} = -s and
+c = a_{t0-1} = -s*x.  The order r is not t0, since that needs c = 0,
+i.e. x = 0.  It is not t0+1: the bottom-left entry of M**(t0+1) is
+a_{t0} = -s, not 0.  It is not t0+2: that entry of M**(t0+2) is
+a_{t0+1} = k*a_{t0} - c = s*(x - k), not 0.  And r < t0 is impossible,
+because the walk ends at r.  So r >= t0 + 3 on every match: the bordered
+length t0+2 is at most r-1 and the witness needs no check against r.
 """
 
 from __future__ import annotations
@@ -59,20 +68,23 @@ def order_pm(N: int, k: int, cap: int) -> tuple[int, int]:
 
 
 def order_and_reduction(
-    N: int, k: int, roots: tuple[int, ...], cap: int
+    N: int, k: int, roots: tuple[int, ...], cap: int, *, stop_at_match: bool = False
 ) -> tuple[int, int, int, int, int]:
     """One walk that finds both the order of [[k,-1],[1,0]] and the first
     power matching +/-(M(x)**2)**-1 for any candidate x in `roots`.
 
     A match at step t means (x, k, ..., k, x) of length t+2 multiplies
-    out to sign * Id.  Candidates must be roots of x*(x-k) = 0 and
-    exclude 0 and k (those two can only ever match at steps >= r-2 and
-    are useless to callers looking for lengths <= r-1).  Each step costs
-    one modular multiplication; only steps with a power's top-left entry
-    equal to +/-1 look at the candidates, with one set lookup.
+    out to sign * Id, and t <= r-3 (see the module docstring).
+    Candidates must be roots of x*(x-k) = 0 and exclude 0 and k (those
+    two can only ever match at steps >= r-2 and are useless to callers
+    looking for lengths <= r-1).  Each step costs one modular
+    multiplication; only steps with a power's top-left entry equal to
+    +/-1 look at the candidates, with one set lookup.
 
     Returns (r, eps, t0, x0, s0); t0 = 0 when no candidate matched
-    before the walk ended.
+    before the walk ended.  With stop_at_match the walk ends at the
+    first match instead and returns (t0, 0, t0, x0, s0): the first entry
+    is then the number of steps walked, and eps = 0 says r is unknown.
     """
     k %= N
     targets = frozenset(x % N for x in roots)
@@ -88,6 +100,8 @@ def order_and_reduction(
                 x = c if a == 1 else N - c
                 if x in targets:
                     t0, x0, s0 = t, x, 1 if a == m else -1
+                    if stop_at_match:
+                        return t, 0, t0, x0, s0
         if t > cap:
             raise RuntimeError(CAP_MESSAGE)
         a, c = (k * a - c) % N, a

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import core
 from ._numbers import factorize, is_prime
 from .modring import ResidueRing
-from .solutions import bordered_constraint_roots
+from .solutions import bordered_constraint_roots, bordered_root_count
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,22 @@ def minimal_size(ring: ResidueRing, k: int) -> tuple[int, int]:
     return core.order_pm(n, ring.canon(k), _cap(n))
 
 
-def _walk(ring: ResidueRing, k: int) -> tuple[int, int, ReductionWitness | None]:
-    """Shared engine: order, sign, and the tie-broken first witness."""
+def _walk(
+    ring: ResidueRing, k: int, *, stop_at_match: bool = False
+) -> tuple[int, int, ReductionWitness | None]:
+    """Shared engine for a canonical k with a border candidate besides 0
+    and k: order, sign, and the tie-broken first witness.  With
+    stop_at_match only the witness is meaningful; r and eps are what
+    core.order_and_reduction returns for a walk cut short."""
     n = ring.modulus
-    k = ring.canon(k)
     # 0 and k satisfy the border constraint trivially but can only match
     # at lengths r and r+2 (x=0) or multiples of r (x=k), never <= r-1.
     roots = tuple(x for x in bordered_constraint_roots(ring, k) if x not in (0, k))
-    r, eps, t0, x0, s0 = core.order_and_reduction(n, k, roots, _cap(n))
-    witness = None
-    if 0 < t0 <= r - 3:
-        witness = ReductionWitness(x0, t0 + 2, s0)
+    r, eps, t0, x0, s0 = core.order_and_reduction(
+        n, k, roots, _cap(n), stop_at_match=stop_at_match
+    )
+    # a match always has t0 <= r - 3 (see the core module docstring)
+    witness = ReductionWitness(x0, t0 + 2, s0) if t0 else None
     return r, eps, witness
 
 
@@ -73,12 +78,17 @@ def find_reduction(ring: ResidueRing, k: int) -> ReductionWitness | None:
 
     Only border values x with x*(x-k) = 0 mod N are examined; any
     bordered solution satisfies that constraint, so nothing is missed.
-    k = 0 is rejected: the 0-monomial minimal solution (0, 0) is outside
-    the reducibility question.
+    When 0 and k are the only such values there is nothing to walk for,
+    and otherwise the walk stops at its first match.  k = 0 is rejected:
+    the 0-monomial minimal solution (0, 0) is outside the reducibility
+    question.
     """
-    if ring.canon(k) == 0:
+    k = ring.canon(k)
+    if k == 0:
         raise ValueError("k must be nonzero")
-    return _walk(ring, k)[2]
+    if bordered_root_count(ring, k) <= 2:
+        return None
+    return _walk(ring, k, stop_at_match=True)[2]
 
 
 def find_reduction_naive(ring: ResidueRing, k: int) -> ReductionWitness | None:
@@ -126,6 +136,10 @@ def report(ring: ResidueRing, k: int) -> MonomialReport:
     if k == 0:
         r, eps = minimal_size(ring, 0)
         return MonomialReport(n, 0, r, eps, False, None)
+    if bordered_root_count(ring, k) <= 2:
+        # no border besides 0 and k, so no witness: only the order is walked
+        r, eps = minimal_size(ring, k)
+        return MonomialReport(n, k, r, eps, True, None)
     r, eps, witness = _walk(ring, k)
     return MonomialReport(n, k, r, eps, witness is None, witness)
 

@@ -21,6 +21,7 @@ from typing import Callable, Iterable
 from . import core
 from ._numbers import euler_phi, prime_power, sieve_primes
 from .classify import (
+    SEMI_CLOSURE_PRIMES,
     decide_monomial,
     decide_quasi,
     decide_semi,
@@ -139,8 +140,9 @@ def semi_family(n: int) -> str | None:
     """Name of the proven-irreducible family containing even n, if any.
 
     "twice_prime_power": n = 2*p**e.  "product_closure": either
-    4 | n with odd part built from {3,5,7,17,31,127}, or n = 2 * (a
-    product of 3s and 5s).  Families overlap; the first match wins.
+    4 | n with odd part built from SEMI_CLOSURE_PRIMES
+    ({3,5,7,17,31,127}), or n = 2 * (a product of 3s and 5s).  Families
+    overlap; the first match wins.
     """
     if n % 2 == 1:
         pe = prime_power(n)
@@ -149,7 +151,7 @@ def semi_family(n: int) -> str | None:
         return "twice_prime_power"
     if n % 4 == 0:
         m = n
-        for p in (2, 3, 5, 7, 17, 31, 127):
+        for p in (2, *SEMI_CLOSURE_PRIMES):
             while m % p == 0:
                 m //= p
         if m == 1:
@@ -221,7 +223,8 @@ def _read_checkpoint(path: str) -> tuple[dict | None, int | None]:
 
 def checkpoint_resume(path: str) -> ScanJob:
     """Rebuild the ScanJob a checkpoint belongs to; running it resumes
-    after the last completed chunk."""
+    after the last completed chunk.  Records written before they
+    carried `chunk` resume with the default chunk size."""
     record, _ = _read_checkpoint(path)
     if record is None:
         raise CheckpointError(f"no checkpoint records in {path}")
@@ -229,6 +232,7 @@ def checkpoint_resume(path: str) -> ScanJob:
         kind=record["job"],
         lo=record["lo"],
         hi=record["hi"],
+        chunk=record.get("chunk", ScanJob.chunk),
         include_odd=record["include_odd"],
         checkpoint=path,
     )
@@ -350,6 +354,7 @@ def _append_checkpoint(job: ScanJob, result: ScanResult) -> None:
         "job": job.kind,
         "lo": job.lo,
         "hi": job.hi,
+        "chunk": job.chunk,
         "include_odd": job.include_odd,
         "completed_to": result.completed_to,
         "anomalies": result.anomalies,

@@ -63,6 +63,15 @@ def solution_sign(t: ModTuple) -> int | None:
     return pm_id(chain(t.ring, t.entries))
 
 
+def _valuation(p: int, e: int, k: int) -> int:
+    """a = min(v_p(k), e)."""
+    a = 0
+    while a < e and k % p == 0:
+        k //= p
+        a += 1
+    return a
+
+
 def _prime_power_roots(p: int, e: int, k: int) -> list[int]:
     """Roots of x*(x-k) mod p**e.
 
@@ -72,11 +81,7 @@ def _prime_power_roots(p: int, e: int, k: int) -> list[int]:
     """
     q = p**e
     k %= q
-    a = 0
-    kk = k
-    while a < e and kk % p == 0:
-        kk //= p
-        a += 1
+    a = _valuation(p, e, k)
     if 2 * a >= e:
         step = p ** ((e + 1) // 2)
         return list(range(0, q, step))
@@ -84,6 +89,27 @@ def _prime_power_roots(p: int, e: int, k: int) -> list[int]:
     roots = set(range(0, q, step))
     roots.update((k + i * step) % q for i in range(p**a))
     return sorted(roots)
+
+
+def _prime_power_root_count(p: int, e: int, k: int) -> int:
+    """len(_prime_power_roots(p, e, k)) from the same valuation: the
+    multiples of p**ceil(e/2) number p**floor(e/2), and otherwise the
+    two classes mod p**(e-a) hold p**a roots each and do not meet."""
+    a = _valuation(p, e, k)
+    return p ** (e // 2) if 2 * a >= e else 2 * p**a
+
+
+def bordered_root_count(ring: ResidueRing, k: int) -> int:
+    """len(bordered_constraint_roots(ring, k)), without building the roots.
+
+    The roots always include 0 and k, so for k != 0 a count <= 2 means
+    there is no other candidate border.
+    """
+    k = ring.canon(k)
+    count = 1
+    for p, e, _ in ring.crt_idempotents:
+        count *= _prime_power_root_count(p, e, k)
+    return count
 
 
 def bordered_constraint_roots(ring: ResidueRing, k: int) -> list[int]:

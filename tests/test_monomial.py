@@ -9,9 +9,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monomod import core
+from monomod import core, monomial
+from monomod.classify import decide_quasi, decide_semi
 from monomod.core import CAP_MESSAGE
-from monomod._numbers import sieve_primes
+from monomod._numbers import prime_power, sieve_primes
 from monomod.modring import ResidueRing, identity, monomial_power, pm_id
 from monomod.monomial import (
     ReductionWitness,
@@ -100,6 +101,23 @@ def test_kernel_matches_reference_walk_on_large_moduli():
         _assert_kernel_matches_reference(n, rng.randrange(n))
 
 
+@pytest.mark.slow
+def test_first_match_leaves_three_steps_before_the_order():
+    # the module docstring's bound, which lets find_reduction stop early
+    for n in range(2, 301):
+        ring = ResidueRing(n)
+        for k in range(1, n):
+            roots = tuple(x for x in bordered_constraint_roots(ring, k) if x not in (0, k))
+            cap = n**3 + 1
+            r, eps, t0, x0, s0 = core.order_and_reduction(n, k, roots, cap)
+            stopped = core.order_and_reduction(n, k, roots, cap, stop_at_match=True)
+            if t0 == 0:
+                assert stopped == (r, eps, 0, 0, 0), (n, k)
+            else:
+                assert t0 <= r - 3, (n, k)
+                assert stopped == (t0, 0, t0, x0, s0), (n, k)
+
+
 def test_walk_cap_turns_missed_order_into_runtime_error():
     with pytest.raises(RuntimeError, match=CAP_MESSAGE):
         core.order_pm(7, 2, 3)  # the real order is 7
@@ -132,6 +150,33 @@ def test_find_reduction_examples():
     assert find_reduction(ResidueRing(30), 8) is None
     witness = find_reduction(ResidueRing(42), 10)
     assert (witness.x, witness.length) == (28, 6)
+
+
+@pytest.mark.slow
+def test_find_reduction_equals_report_witness_exhaustively():
+    for n in range(2, 301):
+        ring = ResidueRing(n)
+        for k in range(1, n):
+            assert find_reduction(ring, k) == report(ring, k).witness, (n, k)
+
+
+def test_no_walk_or_roots_when_only_zero_and_k_are_borders(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"called with {args}")
+
+    monkeypatch.setattr(core, "order_and_reduction", refuse)
+    monkeypatch.setattr(monomial, "bordered_constraint_roots", refuse)
+    # every unit k over a prime power, and every doubled unit over 2*p**f
+    # with p odd, has x*(x-k) = 0 only at x = 0 and x = k
+    for n in range(2, 501):
+        ring = ResidueRing(n)
+        if prime_power(n) is not None:
+            assert decide_quasi(ring).verdict, n
+        pe = prime_power(n // 2) if n % 2 == 0 else None
+        if pe is not None and pe[0] != 2:
+            assert decide_semi(ring).verdict, n
+    assert report(ResidueRing(6), 2).irreducible  # (6, 2): 0 is the only root mod 2
+    assert find_reduction(ResidueRing(10), 4) is None
 
 
 def test_find_reduction_rejects_k_zero():

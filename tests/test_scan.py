@@ -195,7 +195,7 @@ def test_torn_final_checkpoint_line_is_dropped(tmp_path):
         intact = fh.read()
     with open(path, "a") as fh:
         fh.write('{"job":"quasi","lo":2,"hi":90,"include_o')
-    assert checkpoint_resume(path) == ScanJob(kind="quasi", lo=2, hi=90, checkpoint=path)
+    assert checkpoint_resume(path) == job
 
     resumed = run_scan(job)
     full = run_scan(ScanJob(kind="quasi", lo=2, hi=90, chunk=10))
@@ -227,6 +227,13 @@ def test_unterminated_line_before_others_is_corruption(tmp_path):
         checkpoint_resume(path)
 
 
+def test_checkpoint_resume_restores_chunk(tmp_path):
+    path = str(tmp_path / "scan.ckpt")
+    job = ScanJob(kind="quasi", lo=2, hi=90, chunk=10, checkpoint=path)
+    run_scan(job, max_chunks=3)
+    assert checkpoint_resume(path) == job
+
+
 def test_checkpoint_resume_reconstructs_job(tmp_path):
     path = str(tmp_path / "scan.ckpt")
     with open(path, "w") as fh:
@@ -245,6 +252,7 @@ def test_checkpoint_resume_reconstructs_job(tmp_path):
         )
     job = checkpoint_resume(path)
     assert (job.kind, job.lo, job.hi, job.checkpoint) == ("quasi", 2, 1000, path)
+    assert job.chunk == ScanJob.chunk  # a record without `chunk` takes the default
     # running the reconstructed job picks up at 501
     resumed = run_scan(job, max_chunks=1)
     assert [row["N"] for row in resumed.rows] == list(range(501, 501 + job.chunk))

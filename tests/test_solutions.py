@@ -12,6 +12,7 @@ from monomod.solutions import (
     ModTuple,
     _prime_power_roots,
     bordered_constraint_roots,
+    bordered_root_count,
     equivalent,
     oplus,
     solution_sign,
@@ -172,6 +173,14 @@ def test_constraint_roots_match_brute_force():
             assert bordered_constraint_roots(ring, k) == expected, (n, k)
             assert bordered_constraint_roots(ring, k - n) == expected, (n, k - n)
             assert 0 in expected and k in expected
+
+
+@pytest.mark.slow
+def test_root_count_matches_roots():
+    for n in range(2, 401):
+        ring = ResidueRing(n)
+        for k in range(n):
+            assert bordered_root_count(ring, k) == len(bordered_constraint_roots(ring, k)), (n, k)
 
 
 @pytest.mark.parametrize("q,p,e", [(8, 2, 3), (16, 2, 4), (9, 3, 2), (27, 3, 3), (25, 5, 2), (49, 7, 2)])

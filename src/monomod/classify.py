@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ._numbers import euler_phi, is_prime, prime_power
 from .modring import ResidueRing
@@ -29,6 +29,8 @@ from .monomial import (
 )
 
 __all__ = [
+    "DECIDERS",
+    "PREDICTORS",
     "ClassVerdict",
     "Counterexample",
     "decide_monomial",
@@ -39,7 +41,9 @@ __all__ = [
     "predict_monomial",
     "predict_quasi",
     "predict_reducible_set_2x3m",
+    "predict_semi",
     "semi_candidates",
+    "semi_family",
     "sizes_table",
     "units_only",
 ]
@@ -66,7 +70,7 @@ class ClassVerdict:
     failing one when the verdict is negative."""
 
     modulus: int
-    kind: str  # "monomial" | "quasi" | "semi"
+    kind: str  # a key of DECIDERS
     verdict: bool
     counterexample: Counterexample | None
     checked_k: tuple[int, ...]
@@ -134,6 +138,46 @@ def predict_quasi(n: int) -> bool:
     return m == 1
 
 
+def semi_family(n: int) -> str | None:
+    """Name of the proven-irreducible family containing n, if any.
+
+    "odd_prime_power": odd n = p**e.  "twice_prime_power": n = 2*p**e.
+    "product_closure": either 4 | n with odd part built from
+    SEMI_CLOSURE_PRIMES ({3,5,7,17,31,127}), or n = 2 * (a product of
+    3s and 5s).  Families overlap; the first match wins.
+    """
+    if n % 2 == 1:
+        pe = prime_power(n)
+        return "odd_prime_power" if pe is not None and pe[0] != 2 else None
+    if prime_power(n // 2) is not None:
+        return "twice_prime_power"
+    if n % 4 == 0:
+        m = n
+        for p in (2, *SEMI_CLOSURE_PRIMES):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return "product_closure"
+    else:
+        m = n // 2
+        for p in (3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return "product_closure"
+    return None
+
+
+def predict_semi(n: int) -> bool | None:
+    """Closed form where one is proven: odd n is semi irreducible iff it
+    is an odd prime power, and even n in a semi_family is; other even n
+    have no characterization (None)."""
+    family = semi_family(n)
+    if n % 2 == 1:
+        return family == "odd_prime_power"
+    return True if family is not None else None
+
+
 def predict_reducible_set_2x3m(m: int) -> list[int]:
     """Over N = 2 * 3**m (m >= 2): the k in [0, N) with reducible
     minimal solution are exactly the multiples of 3 other than
@@ -143,6 +187,21 @@ def predict_reducible_set_2x3m(m: int) -> list[int]:
     n = 2 * 3**m
     kept = {3 ** (m - 1), 3**m, 5 * 3 ** (m - 1)}
     return [k for k in range(0, n, 3) if k not in kept]
+
+
+# The classes, in the order the CLI lists them: each kind's decider and
+# the closed form its verdicts are checked against (None where a modulus
+# has no proven characterization).
+DECIDERS: dict[str, Callable[[ResidueRing], ClassVerdict]] = {
+    "monomial": decide_monomial,
+    "quasi": decide_quasi,
+    "semi": decide_semi,
+}
+PREDICTORS: dict[str, Callable[[int], bool | None]] = {
+    "monomial": predict_monomial,
+    "quasi": predict_quasi,
+    "semi": predict_semi,
+}
 
 
 def omega_count(ring: ResidueRing) -> int:

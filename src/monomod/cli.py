@@ -15,13 +15,7 @@ import json
 import os
 import sys
 
-from .classify import (
-    decide_monomial,
-    decide_quasi,
-    decide_semi,
-    omega_count,
-    sizes_table,
-)
+from .classify import DECIDERS, omega_count, sizes_table
 from .construct import (
     ConstructedWitness,
     constructed_prop34,
@@ -32,6 +26,7 @@ from .construct import (
 from .modring import ResidueRing
 from .monomial import find_reduction, minimal_size, report
 from .scan import (
+    SCAN_KINDS,
     CheckpointError,
     ScanJob,
     WORKER_CAP_ENV,
@@ -41,12 +36,6 @@ from .scan import (
     scan_conjecture,
 )
 from .solutions import solution_sign
-
-_DECIDERS = {
-    "monomial": decide_monomial,
-    "quasi": decide_quasi,
-    "semi": decide_semi,
-}
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -85,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="class verdict for one modulus")
     p.add_argument("N", type=int)
     p.add_argument(
-        "--kind", choices=tuple(_DECIDERS), default="monomial", help="class to decide"
+        "--kind", choices=tuple(DECIDERS), default="monomial", help="class to decide"
     )
     _add_format(p)
 
@@ -118,11 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(w)
 
     p = sub.add_parser("scan", help="range scan with checkpointing")
-    p.add_argument(
-        "--kind",
-        choices=("monomial", "quasi", "semi", "omega"),
-        required=True,
-    )
+    p.add_argument("--kind", choices=SCAN_KINDS, required=True)
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
     p.add_argument("--checkpoint", default=None)
@@ -214,7 +199,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    verdict = _DECIDERS[args.kind](ResidueRing(args.N))
+    verdict = DECIDERS[args.kind](ResidueRing(args.N))
     row: dict = {
         "modulus": verdict.modulus,
         "kind": verdict.kind,
@@ -296,12 +281,8 @@ def _cmd_scan(args) -> int:
         include_odd=args.include_odd,
         fsync=args.fsync,
     )
-    collected: list[dict] = []
 
     def stream(rows: list[dict]) -> None:
-        if args.format == "csv":
-            collected.extend(rows)
-            return
         if args.format == "json":
             for row in rows:
                 print(json.dumps(row))
@@ -311,9 +292,11 @@ def _cmd_scan(args) -> int:
         # must not leave that record ahead of the output.
         sys.stdout.flush()
 
-    result = run_scan(job, on_rows=stream, max_chunks=args.max_chunks)
+    # CSV needs every row for its header, so it is written once at the end.
+    on_rows = None if args.format == "csv" else stream
+    result = run_scan(job, on_rows=on_rows, max_chunks=args.max_chunks)
     if args.format == "csv":
-        sys.stdout.write(rows_to_csv(collected))
+        sys.stdout.write(rows_to_csv(result.rows))
     if result.anomalies:
         message = f"{len(result.anomalies)} anomalies: " + json.dumps(result.anomalies)
         print(message, file=sys.stderr)

@@ -20,15 +20,7 @@ from typing import Callable, Iterable
 
 from . import core
 from ._numbers import euler_phi, prime_power, sieve_primes
-from .classify import (
-    SEMI_CLOSURE_PRIMES,
-    decide_monomial,
-    decide_quasi,
-    decide_semi,
-    omega_count,
-    predict_monomial,
-    predict_quasi,
-)
+from .classify import DECIDERS, PREDICTORS, omega_count, semi_family
 from .modring import ResidueRing
 from .monomial import find_reduction, minimal_size_prime_fast
 
@@ -43,19 +35,11 @@ __all__ = [
     "scan_class",
     "scan_conjecture",
     "scan_conjecture_checked",
-    "semi_family",
 ]
 
 WORKER_CAP_ENV = "MONOMOD_MAX_WORKERS"
 
-SCAN_KINDS = ("monomial", "quasi", "semi", "omega")
-JOB_KINDS = SCAN_KINDS + (
-    "conjecture",
-    "appendixA",
-    "appendixB",
-    "appendixC",
-    "appendixD",
-)
+SCAN_KINDS = (*DECIDERS, "omega")
 
 APPENDIX_C_MODULI = (48, 108, 192, 216, 384, 864)
 
@@ -78,7 +62,7 @@ class ScanJob:
     fsync: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in JOB_KINDS:
+        if self.kind not in SCAN_KINDS:
             raise ValueError(f"unknown scan kind {self.kind!r}")
         if self.lo < 2:
             raise ValueError("lo must be >= 2")
@@ -118,12 +102,7 @@ def _scan_chunk(args: tuple[str, tuple[int, ...]]) -> list[dict]:
                 {"N": n, "kind": kind, "phi": euler_phi(n), "omega": omega_count(ring)}
             )
             continue
-        decide = {
-            "monomial": decide_monomial,
-            "quasi": decide_quasi,
-            "semi": decide_semi,
-        }[kind]
-        verdict = decide(ring)
+        verdict = DECIDERS[kind](ring)
         row = {"N": n, "kind": kind, "verdict": verdict.verdict}
         if verdict.counterexample is not None:
             ce = verdict.counterexample
@@ -136,50 +115,6 @@ def _scan_chunk(args: tuple[str, tuple[int, ...]]) -> list[dict]:
     return rows
 
 
-def semi_family(n: int) -> str | None:
-    """Name of the proven-irreducible family containing even n, if any.
-
-    "twice_prime_power": n = 2*p**e.  "product_closure": either
-    4 | n with odd part built from SEMI_CLOSURE_PRIMES
-    ({3,5,7,17,31,127}), or n = 2 * (a product of 3s and 5s).  Families
-    overlap; the first match wins.
-    """
-    if n % 2 == 1:
-        pe = prime_power(n)
-        return "odd_prime_power" if pe is not None and pe[0] != 2 else None
-    if prime_power(n // 2) is not None:
-        return "twice_prime_power"
-    if n % 4 == 0:
-        m = n
-        for p in (2, *SEMI_CLOSURE_PRIMES):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return "product_closure"
-    else:
-        m = n // 2
-        for p in (3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return "product_closure"
-    return None
-
-
-def _predicted(kind: str, n: int) -> bool | None:
-    """Expected verdict where a characterization exists, else None."""
-    if kind == "monomial":
-        return predict_monomial(n)
-    if kind == "quasi":
-        return predict_quasi(n)
-    if kind == "semi":
-        family = semi_family(n)
-        if n % 2 == 1:
-            return family == "odd_prime_power"
-        return True if family is not None else None
-    return None
-
-
 def _read_checkpoint(path: str) -> tuple[dict | None, int | None]:
     """Last checkpoint record (None for a fresh, absent or empty file) and
     the offset of a torn final line (None when there is none).
@@ -187,7 +122,8 @@ def _read_checkpoint(path: str) -> tuple[dict | None, int | None]:
     Each record is appended as one line, so a final line without its
     newline is an append that a crash cut short: it is skipped, and
     run_scan truncates it away before appending again.  Every complete
-    line must parse; a corrupt one is an error naming it.
+    line must parse and describe a job (see _recorded_job); a corrupt
+    one is an error naming it.
     """
     if not os.path.exists(path):
         return None, None
@@ -200,42 +136,59 @@ def _read_checkpoint(path: str) -> tuple[dict | None, int | None]:
             offset += len(line)
             if line.strip() == b"":
                 continue
+            # JSON and UTF-8 decoding errors are ValueErrors too.
             try:
                 record = json.loads(line)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                _recorded_job(record, path)
+            except ValueError as exc:
                 raise CheckpointError(
                     f"corrupt checkpoint record at line {lineno} of {path}: {exc}"
                 ) from None
-            if not isinstance(record, dict):
-                raise CheckpointError(
-                    f"corrupt checkpoint record at line {lineno} of {path}: "
-                    "not a JSON object"
-                )
-            for key in ("job", "lo", "hi", "include_odd", "completed_to", "anomalies"):
-                if key not in record:
-                    raise CheckpointError(
-                        f"corrupt checkpoint record at line {lineno} of {path}: "
-                        f"missing field {key!r}"
-                    )
             last = record
     return last, None
 
 
+def _recorded_job(record: object, path: str) -> ScanJob:
+    """The ScanJob a checkpoint record describes.  A record that is not
+    an object, or that has a field missing, mistyped or out of range,
+    raises ValueError naming the field.  Records written before they
+    carried `chunk` get the default chunk size."""
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    for key in ("job", "lo", "hi", "include_odd", "completed_to", "anomalies"):
+        if key not in record:
+            raise ValueError(f"missing field {key!r}")
+    fields = {"chunk": ScanJob.chunk, **record}
+    if fields["job"] not in SCAN_KINDS:
+        raise ValueError(f"field 'job' is not one of {', '.join(SCAN_KINDS)}")
+    for key in ("lo", "hi", "completed_to", "chunk"):
+        if type(fields[key]) is not int:  # JSON true is a bool, not the int 1
+            raise ValueError(f"field {key!r} is not an integer")
+    if not fields["lo"] - 1 <= fields["completed_to"] <= fields["hi"]:
+        raise ValueError("field 'completed_to' is outside [lo - 1, hi]")
+    if not isinstance(fields["include_odd"], bool):
+        raise ValueError("field 'include_odd' is not a boolean")
+    anomalies = fields["anomalies"]
+    if not isinstance(anomalies, list) or not all(isinstance(a, dict) for a in anomalies):
+        raise ValueError("field 'anomalies' is not a list of objects")
+    # ScanJob itself rejects lo < 2, hi < lo and chunk < 1.
+    return ScanJob(
+        kind=fields["job"],
+        lo=fields["lo"],
+        hi=fields["hi"],
+        chunk=fields["chunk"],
+        include_odd=fields["include_odd"],
+        checkpoint=path,
+    )
+
+
 def checkpoint_resume(path: str) -> ScanJob:
     """Rebuild the ScanJob a checkpoint belongs to; running it resumes
-    after the last completed chunk.  Records written before they
-    carried `chunk` resume with the default chunk size."""
+    after the last completed chunk."""
     record, _ = _read_checkpoint(path)
     if record is None:
         raise CheckpointError(f"no checkpoint records in {path}")
-    return ScanJob(
-        kind=record["job"],
-        lo=record["lo"],
-        hi=record["hi"],
-        chunk=record.get("chunk", ScanJob.chunk),
-        include_odd=record["include_odd"],
-        checkpoint=path,
-    )
+    return _recorded_job(record, path)
 
 
 def _effective_workers(requested: int) -> int:
@@ -263,8 +216,6 @@ def run_scan(
     resumable checkpoint.  The pool never gets more workers than there
     are chunks, and one worker runs in this process.
     """
-    if job.kind not in SCAN_KINDS:
-        raise ValueError(f"run_scan cannot execute kind {job.kind!r}")
     if max_chunks is not None and max_chunks < 0:
         raise ValueError("max_chunks must be >= 0")
     start = job.lo
@@ -273,12 +224,12 @@ def run_scan(
     if job.checkpoint:
         record, torn = _read_checkpoint(job.checkpoint)
         if record is not None:
-            recorded = (record["job"], record["lo"], record["hi"], record["include_odd"])
-            if recorded != (job.kind, job.lo, job.hi, job.include_odd):
+            was = _recorded_job(record, job.checkpoint)
+            identity = (was.kind, was.lo, was.hi, was.include_odd)
+            if identity != (job.kind, job.lo, job.hi, job.include_odd):
                 raise CheckpointError(
                     f"checkpoint {job.checkpoint} describes job "
-                    f"{record['job']!r} [{record['lo']},{record['hi']}] "
-                    f"include_odd={record['include_odd']}, "
+                    f"{was.kind!r} [{was.lo},{was.hi}] include_odd={was.include_odd}, "
                     f"not {job.kind!r} [{job.lo},{job.hi}] include_odd={job.include_odd}"
                 )
             start = record["completed_to"] + 1
@@ -327,9 +278,10 @@ def _drain(
     produced: Iterable[list[dict]],
     on_rows: Callable[[list[dict]], None] | None,
 ) -> None:
+    predict = PREDICTORS.get(job.kind, lambda n: None)
     for (_, ns), rows in zip(args, produced):
         for row in rows:
-            expected = _predicted(job.kind, row["N"])
+            expected = predict(row["N"])
             if expected is not None and expected != row["verdict"]:
                 result.anomalies.append(
                     {
@@ -366,15 +318,23 @@ def _append_checkpoint(job: ScanJob, result: ScanResult) -> None:
             os.fsync(fh.fileno())
 
 
-def scan_class(kind: str, lo: int, hi: int, **options) -> ScanResult:
+def scan_class(
+    kind: str,
+    lo: int,
+    hi: int,
+    *,
+    on_rows: Callable[[list[dict]], None] | None = None,
+    max_chunks: int | None = None,
+    **options,
+) -> ScanResult:
     """Decide one irreducibility class over [lo, hi] and compare with
-    the known characterizations; see run_scan for options."""
-    if kind not in ("monomial", "quasi", "semi"):
-        raise ValueError(f"scan_class kind must be monomial/quasi/semi, got {kind!r}")
-    run_options = {
-        key: options.pop(key) for key in ("on_rows", "max_chunks") if key in options
-    }
-    return run_scan(ScanJob(kind=kind, lo=lo, hi=hi, **options), **run_options)
+    the known characterizations; options are ScanJob fields, and see
+    run_scan for on_rows and max_chunks."""
+    if kind not in DECIDERS:
+        raise ValueError(f"scan_class kind must be {'/'.join(DECIDERS)}, got {kind!r}")
+    return run_scan(
+        ScanJob(kind=kind, lo=lo, hi=hi, **options), on_rows=on_rows, max_chunks=max_chunks
+    )
 
 
 def scan_conjecture(max_prime: int) -> list[int]:

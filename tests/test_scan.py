@@ -8,8 +8,8 @@ import json
 import pytest
 
 from conftest import load_data
-from monomod import scan
-from monomod.classify import omega_count, predict_quasi
+from monomod import classify, cli, scan
+from monomod.classify import omega_count, predict_quasi, semi_family
 from monomod.modring import ResidueRing
 from monomod.scan import (
     CheckpointError,
@@ -21,7 +21,6 @@ from monomod.scan import (
     scan_class,
     scan_conjecture,
     scan_conjecture_checked,
-    semi_family,
 )
 from monomod._numbers import euler_phi
 
@@ -37,6 +36,8 @@ def test_scan_job_validates_fields():
         ScanJob(kind="quasi", lo=2, hi=10, workers=0)
     with pytest.raises(ValueError):
         ScanJob(kind="sideways", lo=2, hi=10)
+    with pytest.raises(ValueError):
+        ScanJob(kind="appendixA", lo=2, hi=10)  # a table, not a range scan
 
 
 def test_run_scan_rejects_non_range_kinds():
@@ -66,6 +67,39 @@ def test_semi_scan_skips_odd_moduli_by_default():
     assert [row["N"] for row in with_odd.rows] == list(range(4, 41))
     evens = [row for row in with_odd.rows if row["N"] % 2 == 0]
     assert evens == even_only.rows
+
+
+def test_semi_scan_with_odd_moduli_matches_the_odd_prime_power_rule():
+    result = run_scan(ScanJob(kind="semi", lo=3, hi=300, include_odd=True))
+    assert result.anomalies == []
+    odd = {row["N"]: row["verdict"] for row in result.rows if row["N"] % 2 == 1}
+    assert odd[3] and odd[27] and odd[289]  # odd prime powers
+    assert not odd[15] and not odd[225]
+
+
+def test_anomalies_are_reported_kept_across_resume_and_exit_1(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setitem(classify.PREDICTORS, "quasi", lambda n: not predict_quasi(n))
+    full = run_scan(ScanJob(kind="quasi", lo=2, hi=40, chunk=8))
+    assert [a["N"] for a in full.anomalies] == list(range(2, 41))
+    for anomaly, row in zip(full.anomalies, full.rows):
+        assert anomaly == {
+            "N": row["N"],
+            "kind": "quasi",
+            "expected": not row["verdict"],
+            "got": row["verdict"],
+        }
+
+    path = str(tmp_path / "scan.ckpt")
+    job = ScanJob(kind="quasi", lo=2, hi=40, chunk=8, checkpoint=path)
+    partial = run_scan(job, max_chunks=2)
+    assert partial.anomalies == full.anomalies[:16]
+    assert run_scan(job).anomalies == full.anomalies
+
+    argv = ["scan", "--kind", "quasi", "--from", "2", "--to", "40", "--format", "json"]
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().err.startswith("39 anomalies: ")
 
 
 def test_omega_scan_rows():
@@ -111,7 +145,8 @@ def test_checkpoint_resume_round_trip(tmp_path):
 
     partial = run_scan(job, max_chunks=3)
     assert partial.completed_to == 31  # 3 chunks of 10 from lo=2
-    records = [json.loads(line) for line in open(path)]
+    with open(path) as fh:
+        records = [json.loads(line) for line in fh]
     assert len(records) == 3
     assert records[-1]["completed_to"] == 31
 
@@ -303,6 +338,55 @@ def test_checkpoint_record_that_is_not_an_object_is_corruption(tmp_path, line):
         checkpoint_resume(path)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("completed_to", "5"),
+        ("completed_to", True),
+        ("completed_to", 500),  # past hi
+        ("completed_to", 0),  # before lo - 1
+        ("lo", 2.0),
+        ("lo", 1),
+        ("hi", "20"),
+        ("job", "appendixA"),
+        ("include_odd", "no"),
+        ("anomalies", 7),
+        ("anomalies", [5]),
+        ("chunk", "8"),
+        ("chunk", 0),
+    ],
+)
+def test_mistyped_or_out_of_range_record_field_is_corruption(
+    tmp_path, capsys, field, value
+):
+    path = str(tmp_path / "bad.ckpt")
+    record = {
+        "job": "quasi",
+        "lo": 2,
+        "hi": 20,
+        "chunk": 8,
+        "include_odd": False,
+        "completed_to": 9,
+        "anomalies": [],
+    }
+    with open(path, "w") as fh:
+        fh.write(json.dumps(record) + "\n")
+    assert checkpoint_resume(path) == ScanJob("quasi", 2, 20, chunk=8, checkpoint=path)
+
+    record[field] = value
+    with open(path, "w") as fh:
+        fh.write(json.dumps(record) + "\n")
+    message = f"corrupt checkpoint record at line 1 .*{field}"
+    with pytest.raises(CheckpointError, match=message):
+        checkpoint_resume(path)
+    with pytest.raises(CheckpointError, match=message):
+        run_scan(ScanJob(kind="quasi", lo=2, hi=20, checkpoint=path))
+    argv = ["scan", "--kind", "quasi", "--from", "2", "--to", "20", "--checkpoint", path]
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "corrupt checkpoint record at line 1" in err
+
+
 def test_checkpoint_for_different_job_is_rejected(tmp_path):
     path = str(tmp_path / "scan.ckpt")
     run_scan(ScanJob(kind="quasi", lo=2, hi=40, checkpoint=path), max_chunks=1)
@@ -327,7 +411,8 @@ def test_checkpoint_records_include_odd(tmp_path):
     full = run_scan(ScanJob(kind="semi", lo=4, hi=60, include_odd=True))
     assert partial.rows + resumed.rows == full.rows
 
-    records = [json.loads(line) for line in open(with_odd)]
+    with open(with_odd) as fh:
+        records = [json.loads(line) for line in fh]
     del records[-1]["include_odd"]
     with open(with_odd, "w") as fh:
         fh.writelines(json.dumps(record) + "\n" for record in records)

@@ -14,10 +14,10 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from .classify import DECIDERS, omega_count, sizes_table
 from .construct import (
-    ConstructedWitness,
     constructed_prop34,
     witness_lemma41,
     witness_prop36,
@@ -47,6 +47,15 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# source -> (builder, help, integer parameters in the builder's order)
+_WITNESSES = {
+    "prop36": (witness_prop36, "coprime split N = n*m, m odd, 3 does not divide m", ("n", "m")),
+    "prop51": (witness_prop51, "odd coprime split N = n*m, n < m", ("n", "m")),
+    "lemma41": (witness_lemma41, "odd prime power N = p**n, k = a*p**t", ("p", "n", "t", "a")),
+    "prop34": (constructed_prop34, "N/4 or N/p residue when 16 or an odd p*p divides N", ("N",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monomod",
@@ -56,20 +65,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("size", help="minimal size r and sign of M(k)**r")
-    p.add_argument("N", type=int)
-    p.add_argument("k", type=int)
-    _add_format(p)
-
-    p = sub.add_parser("report", help="size, sign, verdict, witness for one (N, k)")
-    p.add_argument("N", type=int)
-    p.add_argument("k", type=int)
-    _add_format(p)
-
-    p = sub.add_parser("reduce", help="first bordered reduction witness, if any")
-    p.add_argument("N", type=int)
-    p.add_argument("k", type=int)
-    _add_format(p)
+    for name, help_ in (
+        ("size", "minimal size r and sign of M(k)**r"),
+        ("report", "size, sign, verdict, witness for one (N, k)"),
+        ("reduce", "first bordered reduction witness, if any"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("N", type=int)
+        p.add_argument("k", type=int)
+        _add_format(p)
 
     p = sub.add_parser("classify", help="class verdict for one modulus")
     p.add_argument("N", type=int)
@@ -88,23 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="closed-form reducibility certificates")
     wsub = p.add_subparsers(dest="source", required=True)
-    w = wsub.add_parser("prop36", help="coprime split N = n*m, m odd, 3 does not divide m")
-    w.add_argument("n", type=int)
-    w.add_argument("m", type=int)
-    _add_format(w)
-    w = wsub.add_parser("prop51", help="odd coprime split N = n*m, n < m")
-    w.add_argument("n", type=int)
-    w.add_argument("m", type=int)
-    _add_format(w)
-    w = wsub.add_parser("lemma41", help="odd prime power N = p**n, k = a*p**t")
-    w.add_argument("p", type=int)
-    w.add_argument("n", type=int)
-    w.add_argument("t", type=int)
-    w.add_argument("a", type=int, nargs="?", default=1)
-    _add_format(w)
-    w = wsub.add_parser("prop34", help="N/4 or N/p residue when 16 or an odd p*p divides N")
-    w.add_argument("N", type=int)
-    _add_format(w)
+    for source, (_, help_, params) in _WITNESSES.items():
+        w = wsub.add_parser(source, help=help_)
+        for name in params:
+            if name == "a":  # lemma41's unit factor of k may be left out
+                w.add_argument(name, type=int, nargs="?", default=1)
+            else:
+                w.add_argument(name, type=int)
+        _add_format(w)
 
     p = sub.add_parser("scan", help="range scan with checkpointing")
     p.add_argument("--kind", choices=SCAN_KINDS, required=True)
@@ -130,16 +125,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args: argparse.Namespace, obj: dict | list) -> None:
+def _emit(args, obj: dict | list, text: Callable[[dict], str] | None = None) -> int:
+    """Print obj, one row or a list of rows, in args.format: one JSON
+    value, CSV (see rows_to_csv), or one line per row, which is text(row)
+    for a command with its own text form and key=value fields otherwise.
+    Returns the exit code 0."""
+    rows = obj if isinstance(obj, list) else [obj]
     if args.format == "json":
         print(json.dumps(obj))
     elif args.format == "csv":
-        rows = obj if isinstance(obj, list) else [obj]
         sys.stdout.write(rows_to_csv(rows))
     else:
-        rows = obj if isinstance(obj, list) else [obj]
         for row in rows:
-            print(" ".join(_text_field(key, value) for key, value in row.items()))
+            print((text or _text_line)(row))
+    return 0
+
+
+def _text_line(row: dict) -> str:
+    return " ".join(_text_field(key, value) for key, value in row.items())
 
 
 def _text_field(key: str, value) -> str:
@@ -159,11 +162,8 @@ def _witness_dict(witness) -> dict:
 def _cmd_size(args) -> int:
     ring = ResidueRing(args.N)
     r, eps = minimal_size(ring, args.k)
-    if args.format == "text":
-        print(f"r={r} eps={eps}")
-        return 0
-    _emit(args, {"modulus": args.N, "k": ring.canon(args.k), "size": r, "sign": eps})
-    return 0
+    row = {"modulus": args.N, "k": ring.canon(args.k), "size": r, "sign": eps}
+    return _emit(args, row, text=lambda row: f"r={row['size']} eps={row['sign']}")
 
 
 def _cmd_report(args) -> int:
@@ -179,23 +179,17 @@ def _cmd_report(args) -> int:
         row["witness"] = _witness_dict(rep.witness)
     elif args.format == "json":
         row["witness"] = None
-    _emit(args, row)
-    return 0
+    return _emit(args, row)
 
 
 def _cmd_reduce(args) -> int:
     ring = ResidueRing(args.N)
     witness = find_reduction(ring, args.k)
-    if args.format == "text":
-        if witness is None:
-            print("irreducible")
-        else:
-            print(f"x={witness.x} len={witness.length} sign={witness.sign}")
-        return 0
-    row: dict = {"modulus": args.N, "k": ring.canon(args.k)}
-    row["witness"] = None if witness is None else _witness_dict(witness)
-    _emit(args, row)
-    return 0
+    row: dict = {"modulus": args.N, "k": ring.canon(args.k), "witness": None}
+    if witness is None:
+        return _emit(args, row, text=lambda row: "irreducible")
+    row["witness"] = _witness_dict(witness)
+    return _emit(args, row, text=lambda row: _text_line(row["witness"]))
 
 
 def _cmd_classify(args) -> int:
@@ -214,46 +208,24 @@ def _cmd_classify(args) -> int:
         row["checked_k"] = list(verdict.checked_k)
     else:
         row["checked"] = len(verdict.checked_k)
-    _emit(args, row)
-    return 0
+    return _emit(args, row)
 
 
 def _cmd_omega(args) -> int:
-    count = omega_count(ResidueRing(args.N))
-    _emit(args, {"N": args.N, "omega": count})
-    return 0
+    return _emit(args, {"N": args.N, "omega": omega_count(ResidueRing(args.N))})
 
 
 def _cmd_sizes_table(args) -> int:
     rows = [{"k": k, "size": r} for k, r in sizes_table(args.p)]
-    if args.format == "text":
-        for row in rows:
-            print(f"k={row['k']} r={row['size']}")
-        return 0
-    _emit(args, rows)
-    return 0
+    return _emit(args, rows, text=lambda row: f"k={row['k']} r={row['size']}")
 
 
 def _cmd_witness(args) -> int:
-    if args.source == "prop36":
-        cw = witness_prop36(args.n, args.m)
-    elif args.source == "prop51":
-        cw = witness_prop51(args.n, args.m)
-    elif args.source == "lemma41":
-        cw = witness_lemma41(args.p, args.n, args.t, args.a)
-    else:
-        cw = constructed_prop34(args.N)
-        if cw is None:
-            if args.format == "json":
-                print(json.dumps({"modulus": args.N, "witness": None}))
-            else:
-                print("not applicable")
-            return 0
-    return _emit_certificate(args, cw)
-
-
-def _emit_certificate(args, cw: ConstructedWitness) -> int:
-    verified = cw.verify()
+    build, _, params = _WITNESSES[args.source]
+    cw = build(*(getattr(args, name) for name in params))
+    if cw is None:  # prop34: no pattern applies to N
+        row = {"modulus": args.N, "witness": None}
+        return _emit(args, row, text=lambda row: "not applicable")
     row = {
         "modulus": cw.modulus,
         "k": cw.k,
@@ -262,15 +234,18 @@ def _emit_certificate(args, cw: ConstructedWitness) -> int:
         "x": cw.reducer.entries[0],
         "len": len(cw.reducer),
         "sign": solution_sign(cw.reducer),
-        "verified": verified,
+        "verified": cw.verify(),
     }
-    if not verified:
+    if not row["verified"]:
         return _fail(args, f"certificate failed verification: {row}", code=1)
-    _emit(args, row)
-    return 0
+    return _emit(args, row)
 
 
 def _cmd_scan(args) -> int:
+    if args.format == "csv" and args.checkpoint:
+        # CSV goes out only after the last chunk (its header needs every
+        # row), so a crash would leave the checkpoint ahead of the output.
+        return _fail(args, "--format csv cannot be combined with --checkpoint; use json or text")
     job = ScanJob(
         kind=args.kind,
         lo=args.lo,
@@ -283,20 +258,16 @@ def _cmd_scan(args) -> int:
     )
 
     def stream(rows: list[dict]) -> None:
-        if args.format == "json":
-            for row in rows:
-                print(json.dumps(row))
-        else:
-            _emit(args, rows)
+        for row in rows:
+            _emit(args, row)
         # run_scan appends the chunk's checkpoint record next; a crash
         # must not leave that record ahead of the output.
         sys.stdout.flush()
 
-    # CSV needs every row for its header, so it is written once at the end.
     on_rows = None if args.format == "csv" else stream
     result = run_scan(job, on_rows=on_rows, max_chunks=args.max_chunks)
     if args.format == "csv":
-        sys.stdout.write(rows_to_csv(result.rows))
+        _emit(args, result.rows)
     if result.anomalies:
         message = f"{len(result.anomalies)} anomalies: " + json.dumps(result.anomalies)
         print(message, file=sys.stderr)
@@ -305,21 +276,15 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_appendix(args) -> int:
-    table = emit_appendix(args.which, workers=args.workers)
-    _emit(args, table)
-    return 0
+    return _emit(args, emit_appendix(args.which, workers=args.workers))
 
 
 def _cmd_conjecture(args) -> int:
     primes = scan_conjecture(args.max_prime)
-    if args.format == "text":
-        print(" ".join(str(p) for p in primes))
-        return 0
     if args.format == "csv":
-        _emit(args, [{"p": p} for p in primes])
-        return 0
-    _emit(args, {"max": args.max_prime, "primes": primes})
-    return 0
+        return _emit(args, [{"p": p} for p in primes])
+    row = {"max": args.max_prime, "primes": primes}
+    return _emit(args, row, text=lambda row: " ".join(str(p) for p in row["primes"]))
 
 
 _COMMANDS = {

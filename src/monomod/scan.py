@@ -432,18 +432,24 @@ def emit_appendix(which: str, *, workers: int = 1) -> list[dict]:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    """Flatten scan or appendix rows to CSV with stable columns."""
+    """Flatten rows to CSV with stable columns, in first-seen order.  A
+    counterexample's fields become unprefixed columns after the others;
+    any other nested object's fields become key_field columns, as in the
+    text format; lists are space-joined."""
     columns: list[str] = []
     flat_rows = []
     for row in rows:
-        flat = dict(row)
-        ce = flat.pop("counterexample", None)
-        if ce is not None:
-            flat["k"] = ce["k"]
-            flat["x"] = ce["x"]
-            flat["len"] = ce["len"]
-        if "reducible" in flat:
-            flat["reducible"] = " ".join(str(k) for k in flat["reducible"])
+        flat = {}
+        for key, value in row.items():
+            if key == "counterexample":
+                continue
+            if isinstance(value, dict):
+                flat.update({f"{key}_{k}": v for k, v in value.items()})
+            elif isinstance(value, list):
+                flat[key] = " ".join(str(v) for v in value)
+            else:
+                flat[key] = value
+        flat.update(row.get("counterexample") or {})
         for key in flat:
             if key not in columns:
                 columns.append(key)

@@ -14,7 +14,7 @@ import pytest
 
 import monomod
 from conftest import load_data
-from monomod import scan
+from monomod import construct, scan
 from monomod.cli import run
 from monomod.modring import ResidueRing
 from monomod.monomial import minimal_size
@@ -22,6 +22,277 @@ from monomod.monomial import minimal_size
 
 def _parse_text_fields(line: str) -> dict[str, str]:
     return dict(part.split("=", 1) for part in line.split())
+
+
+# Exact stdout of each command in each format, for runs that exit 0 with
+# nothing on stderr.
+_PINNED = {
+    ("size 17 5", "text"): "r=8 eps=-1\n",
+    ("size 17 5", "json"): '{"modulus": 17, "k": 5, "size": 8, "sign": -1}\n',
+    ("size 17 5", "csv"): "modulus,k,size,sign\r\n17,5,8,-1\r\n",
+    ("size 17 -12", "text"): "r=8 eps=-1\n",
+    ("size 17 -12", "json"): '{"modulus": 17, "k": 5, "size": 8, "sign": -1}\n',
+    ("size 17 -12", "csv"): "modulus,k,size,sign\r\n17,5,8,-1\r\n",
+    ("report 42 10", "text"): (
+        "modulus=42 k=10 size=24 sign=1 irreducible=false witness_x=28 witness_len=6 "
+        "witness_sign=1\n"
+    ),
+    ("report 42 10", "json"): (
+        '{"modulus": 42, "k": 10, "size": 24, "sign": 1, "irreducible": false, "witness": {"x": '
+        '28, "len": 6, "sign": 1}}\n'
+    ),
+    ("report 42 10", "csv"): (
+        "modulus,k,size,sign,irreducible,witness_x,witness_len,witness_sign\r\n"
+        "42,10,24,1,False,28,6,1\r\n"
+    ),
+    ("report 30 8", "text"): "modulus=30 k=8 size=30 sign=1 irreducible=true\n",
+    ("report 30 8", "json"): (
+        '{"modulus": 30, "k": 8, "size": 30, "sign": 1, "irreducible": true, "witness": null}\n'
+    ),
+    ("report 30 8", "csv"): "modulus,k,size,sign,irreducible\r\n30,8,30,1,True\r\n",
+    ("reduce 42 10", "text"): "x=28 len=6 sign=1\n",
+    ("reduce 42 10", "json"): (
+        '{"modulus": 42, "k": 10, "witness": {"x": 28, "len": 6, "sign": 1}}\n'
+    ),
+    ("reduce 42 10", "csv"): "modulus,k,witness_x,witness_len,witness_sign\r\n42,10,28,6,1\r\n",
+    ("reduce 30 8", "text"): "irreducible\n",
+    ("reduce 30 8", "json"): '{"modulus": 30, "k": 8, "witness": null}\n',
+    ("reduce 30 8", "csv"): "modulus,k,witness\r\n30,8,\r\n",
+    ("classify 24", "text"): "modulus=24 kind=monomial verdict=true checked=23\n",
+    ("classify 24", "json"): (
+        '{"modulus": 24, "kind": "monomial", "verdict": true, "counterexample": null, '
+        '"checked_k": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, '
+        "21, 22, 23]}\n"
+    ),
+    ("classify 24", "csv"): "modulus,kind,verdict,checked\r\n24,monomial,True,23\r\n",
+    ("classify 16", "text"): (
+        "modulus=16 kind=monomial verdict=false counterexample_k=4 counterexample_x=12 "
+        "counterexample_len=4 counterexample_sign=1 checked=4\n"
+    ),
+    ("classify 16", "json"): (
+        '{"modulus": 16, "kind": "monomial", "verdict": false, "counterexample": {"k": 4, "x": '
+        '12, "len": 4, "sign": 1}, "checked_k": [1, 2, 3, 4]}\n'
+    ),
+    ("classify 16", "csv"): (
+        "modulus,kind,verdict,checked,k,x,len,sign\r\n"
+        "16,monomial,False,4,4,12,4,1\r\n"
+    ),
+    ("classify 54 --kind quasi", "text"): "modulus=54 kind=quasi verdict=true checked=18\n",
+    ("classify 54 --kind quasi", "json"): (
+        '{"modulus": 54, "kind": "quasi", "verdict": true, "counterexample": null, "checked_k": '
+        "[1, 5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 35, 37, 41, 43, 47, 49, 53]}\n"
+    ),
+    ("classify 54 --kind quasi", "csv"): "modulus,kind,verdict,checked\r\n54,quasi,True,18\r\n",
+    ("classify 10 --kind quasi", "text"): (
+        "modulus=10 kind=quasi verdict=false counterexample_k=3 counterexample_x=8 "
+        "counterexample_len=5 counterexample_sign=-1 checked=2\n"
+    ),
+    ("classify 10 --kind quasi", "json"): (
+        '{"modulus": 10, "kind": "quasi", "verdict": false, "counterexample": {"k": 3, "x": 8, '
+        '"len": 5, "sign": -1}, "checked_k": [1, 3]}\n'
+    ),
+    ("classify 10 --kind quasi", "csv"): (
+        "modulus,kind,verdict,checked,k,x,len,sign\r\n"
+        "10,quasi,False,2,3,8,5,-1\r\n"
+    ),
+    ("classify 30 --kind semi", "text"): "modulus=30 kind=semi verdict=true checked=8\n",
+    ("classify 30 --kind semi", "json"): (
+        '{"modulus": 30, "kind": "semi", "verdict": true, "counterexample": null, "checked_k": '
+        "[2, 4, 8, 14, 16, 22, 26, 28]}\n"
+    ),
+    ("classify 30 --kind semi", "csv"): "modulus,kind,verdict,checked\r\n30,semi,True,8\r\n",
+    ("classify 42 --kind semi", "text"): (
+        "modulus=42 kind=semi verdict=false counterexample_k=4 counterexample_x=28 "
+        "counterexample_len=6 counterexample_sign=1 checked=2\n"
+    ),
+    ("classify 42 --kind semi", "json"): (
+        '{"modulus": 42, "kind": "semi", "verdict": false, "counterexample": {"k": 4, "x": 28, '
+        '"len": 6, "sign": 1}, "checked_k": [2, 4]}\n'
+    ),
+    ("classify 42 --kind semi", "csv"): (
+        "modulus,kind,verdict,checked,k,x,len,sign\r\n"
+        "42,semi,False,2,4,28,6,1\r\n"
+    ),
+    ("omega 6", "text"): "N=6 omega=5\n",
+    ("omega 6", "json"): '{"N": 6, "omega": 5}\n',
+    ("omega 6", "csv"): "N,omega\r\n6,5\r\n",
+    ("sizes-table 17", "text"): (
+        "k=1 r=3\nk=2 r=17\nk=3 r=9\nk=4 r=9\nk=5 r=8\nk=6 r=4\n"
+        "k=7 r=9\nk=8 r=8\n"
+    ),
+    ("sizes-table 17", "json"): (
+        '[{"k": 1, "size": 3}, {"k": 2, "size": 17}, {"k": 3, "size": 9}, {"k": 4, "size": 9}, '
+        '{"k": 5, "size": 8}, {"k": 6, "size": 4}, {"k": 7, "size": 9}, {"k": 8, "size": 8}]\n'
+    ),
+    ("sizes-table 17", "csv"): (
+        "k,size\r\n1,3\r\n2,17\r\n3,9\r\n4,9\r\n5,8\r\n"
+        "6,4\r\n7,9\r\n8,8\r\n"
+    ),
+    ("sizes-table 2", "text"): "",
+    ("sizes-table 2", "json"): "[]\n",
+    ("sizes-table 2", "csv"): "\r\n",
+    ("witness prop36 3 5", "text"): (
+        "modulus=15 k=7 size=30 source=prop36 x=12 len=5 sign=1 verified=true\n"
+    ),
+    ("witness prop36 3 5", "json"): (
+        '{"modulus": 15, "k": 7, "size": 30, "source": "prop36", "x": 12, "len": 5, "sign": 1, '
+        '"verified": true}\n'
+    ),
+    ("witness prop36 3 5", "csv"): (
+        "modulus,k,size,source,x,len,sign,verified\r\n"
+        "15,7,30,prop36,12,5,1,True\r\n"
+    ),
+    ("witness prop51 3 5", "text"): (
+        "modulus=15 k=8 size=30 source=prop51 x=5 len=27 sign=1 verified=true\n"
+    ),
+    ("witness prop51 3 5", "json"): (
+        '{"modulus": 15, "k": 8, "size": 30, "source": "prop51", "x": 5, "len": 27, "sign": 1, '
+        '"verified": true}\n'
+    ),
+    ("witness prop51 3 5", "csv"): (
+        "modulus,k,size,source,x,len,sign,verified\r\n"
+        "15,8,30,prop51,5,27,1,True\r\n"
+    ),
+    ("witness lemma41 3 2 1", "text"): (
+        "modulus=9 k=3 size=6 source=lemma41 x=6 len=4 sign=1 verified=true\n"
+    ),
+    ("witness lemma41 3 2 1", "json"): (
+        '{"modulus": 9, "k": 3, "size": 6, "source": "lemma41", "x": 6, "len": 4, "sign": 1, '
+        '"verified": true}\n'
+    ),
+    ("witness lemma41 3 2 1", "csv"): (
+        "modulus,k,size,source,x,len,sign,verified\r\n"
+        "9,3,6,lemma41,6,4,1,True\r\n"
+    ),
+    ("witness lemma41 5 3 1 2", "text"): (
+        "modulus=125 k=10 size=50 source=lemma41 x=35 len=20 sign=1 verified=true\n"
+    ),
+    ("witness lemma41 5 3 1 2", "json"): (
+        '{"modulus": 125, "k": 10, "size": 50, "source": "lemma41", "x": 35, "len": 20, "sign": '
+        '1, "verified": true}\n'
+    ),
+    ("witness lemma41 5 3 1 2", "csv"): (
+        "modulus,k,size,source,x,len,sign,verified\r\n"
+        "125,10,50,lemma41,35,20,1,True\r\n"
+    ),
+    ("witness prop34 45", "text"): (
+        "modulus=45 k=15 size=6 source=prop34 x=30 len=4 sign=1 verified=true\n"
+    ),
+    ("witness prop34 45", "json"): (
+        '{"modulus": 45, "k": 15, "size": 6, "source": "prop34", "x": 30, "len": 4, "sign": 1, '
+        '"verified": true}\n'
+    ),
+    ("witness prop34 45", "csv"): (
+        "modulus,k,size,source,x,len,sign,verified\r\n"
+        "45,15,6,prop34,30,4,1,True\r\n"
+    ),
+    ("witness prop34 24", "text"): "not applicable\n",
+    ("witness prop34 24", "json"): '{"modulus": 24, "witness": null}\n',
+    ("witness prop34 24", "csv"): "modulus,witness\r\n24,\r\n",
+    ("scan --kind monomial --from 8 --to 10", "text"): (
+        "N=8 kind=monomial verdict=true\nN=9 kind=monomial verdict=false counterexample_k=3 "
+        "counterexample_x=6 counterexample_len=4\nN=10 kind=monomial verdict=false "
+        "counterexample_k=3 counterexample_x=8 counterexample_len=5\n"
+    ),
+    ("scan --kind monomial --from 8 --to 10", "json"): (
+        '{"N": 8, "kind": "monomial", "verdict": true}\n'
+        '{"N": 9, "kind": "monomial", "verdict": false, "counterexample": {"k": 3, "x": 6, '
+        '"len": 4}}\n{"N": 10, "kind": "monomial", "verdict": false, "counterexample": {"k": 3, '
+        '"x": 8, "len": 5}}\n'
+    ),
+    ("scan --kind monomial --from 8 --to 10", "csv"): (
+        "N,kind,verdict,k,x,len\r\n8,monomial,True,,,\r\n"
+        "9,monomial,False,3,6,4\r\n"
+        "10,monomial,False,3,8,5\r\n"
+    ),
+    ("scan --kind quasi --from 13 --to 15 --chunk 2", "text"): (
+        "N=13 kind=quasi verdict=true\nN=14 kind=quasi verdict=false counterexample_k=3 "
+        "counterexample_x=7 counterexample_len=6\nN=15 kind=quasi verdict=false "
+        "counterexample_k=7 counterexample_x=12 counterexample_len=5\n"
+    ),
+    ("scan --kind quasi --from 13 --to 15 --chunk 2", "json"): (
+        '{"N": 13, "kind": "quasi", "verdict": true}\n'
+        '{"N": 14, "kind": "quasi", "verdict": false, "counterexample": {"k": 3, "x": 7, "len": '
+        '6}}\n{"N": 15, "kind": "quasi", "verdict": false, "counterexample": {"k": 7, "x": 12, '
+        '"len": 5}}\n'
+    ),
+    ("scan --kind quasi --from 13 --to 15 --chunk 2", "csv"): (
+        "N,kind,verdict,k,x,len\r\n13,quasi,True,,,\r\n"
+        "14,quasi,False,3,7,6\r\n15,quasi,False,7,12,5\r\n"
+    ),
+    ("scan --kind semi --from 40 --to 44", "text"): (
+        "N=40 kind=semi verdict=true\nN=42 kind=semi verdict=false counterexample_k=4 "
+        "counterexample_x=28 counterexample_len=6\nN=44 kind=semi verdict=false "
+        "counterexample_k=6 counterexample_x=28 counterexample_len=6\n"
+    ),
+    ("scan --kind semi --from 40 --to 44", "json"): (
+        '{"N": 40, "kind": "semi", "verdict": true}\n{"N": 42, "kind": "semi", "verdict": false, '
+        '"counterexample": {"k": 4, "x": 28, "len": 6}}\n'
+        '{"N": 44, "kind": "semi", "verdict": false, "counterexample": {"k": 6, "x": 28, "len": '
+        "6}}\n"
+    ),
+    ("scan --kind semi --from 40 --to 44", "csv"): (
+        "N,kind,verdict,k,x,len\r\n40,semi,True,,,\r\n"
+        "42,semi,False,4,28,6\r\n44,semi,False,6,28,6\r\n"
+    ),
+    ("scan --kind omega --from 5 --to 7", "text"): (
+        "N=5 kind=omega phi=4 omega=4\nN=6 kind=omega phi=2 omega=5\n"
+        "N=7 kind=omega phi=6 omega=6\n"
+    ),
+    ("scan --kind omega --from 5 --to 7", "json"): (
+        '{"N": 5, "kind": "omega", "phi": 4, "omega": 4}\n'
+        '{"N": 6, "kind": "omega", "phi": 2, "omega": 5}\n'
+        '{"N": 7, "kind": "omega", "phi": 6, "omega": 6}\n'
+    ),
+    ("scan --kind omega --from 5 --to 7", "csv"): (
+        "N,kind,phi,omega\r\n5,omega,4,4\r\n6,omega,2,5\r\n"
+        "7,omega,6,6\r\n"
+    ),
+    ("conjecture --max 200", "text"): "3 5 7 17 31 127\n",
+    ("conjecture --max 200", "json"): '{"max": 200, "primes": [3, 5, 7, 17, 31, 127]}\n',
+    ("conjecture --max 200", "csv"): "p\r\n3\r\n5\r\n7\r\n17\r\n31\r\n127\r\n",
+}
+
+_USAGE = (
+    "usage: monomod size [-h] [--format {text,json,csv}] N k\n"
+    "monomod size: error: the following arguments are required: k\n"
+)
+_COPRIME = "error: factors must be coprime\n"
+# (exit code, stdout, stderr) of runs that fail.
+_PINNED_ERRORS = {
+    **{("size 17", fmt): (2, "", _USAGE) for fmt in ("text", "json", "csv")},
+    ("witness prop36 4 6", "text"): (2, "", _COPRIME),
+    ("witness prop36 4 6", "json"): (
+        2, '{"error": {"message": "factors must be coprime", "code": 2}}\n', ""
+    ),
+    ("witness prop36 4 6", "csv"): (2, "", _COPRIME),
+}
+
+
+def _appendix_c_outputs() -> dict:
+    """Appendix C in each format, spelled out from the frozen table."""
+    frozen = load_data("reducible_k")
+    rows = [(int(n), " ".join(str(k) for k in frozen[n])) for n in frozen]
+    obj = [{"N": int(n), "reducible": frozen[n]} for n in frozen]
+    return {
+        ("appendix C", "text"): "".join(f"N={n} reducible={ks}\n" for n, ks in rows),
+        ("appendix C", "json"): json.dumps(obj) + "\n",
+        ("appendix C", "csv"): "N,reducible\r\n" + "".join(f"{n},{ks}\r\n" for n, ks in rows),
+    }
+
+
+_PINNED_CASES = {
+    **{key: (0, out, "") for key, out in {**_PINNED, **_appendix_c_outputs()}.items()},
+    **_PINNED_ERRORS,
+}
+
+
+@pytest.mark.parametrize("argv,fmt", list(_PINNED_CASES))
+def test_command_output_is_pinned(capsys, monkeypatch, argv, fmt):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    code = run([*argv.split(), "--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == _PINNED_CASES[argv, fmt]
 
 
 def test_size_text(capsys):
@@ -176,6 +447,39 @@ def test_witness_bad_split_is_usage_error(capsys):
     assert obj["error"]["code"] == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_witness_that_fails_verification_exits_one(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(construct.ConstructedWitness, "verify", lambda self: False)
+    assert run(["witness", "prop36", "3", "5", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    if fmt == "json":
+        error = json.loads(captured.out)["error"]
+        assert error["code"] == 1
+        assert error["message"].startswith("certificate failed verification:")
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: certificate failed verification:")
+        assert "'verified': False" in captured.err
+
+
+def test_witness_sources_take_their_parameters(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    usages = {
+        "prop36": "n m",
+        "prop51": "n m",
+        "lemma41": "p n t [a]",
+        "prop34": "N",
+    }
+    for source, params in usages.items():
+        assert run(["witness", source, "--help"]) == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage == (
+            f"usage: monomod witness {source} [-h] [--format {{text,json,csv}}] {params}"
+        )
+    assert run(["witness", "lemma41", "5", "3", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["k"] == 5  # a defaults to 1
+
+
 def test_scan_text(capsys):
     assert run(["scan", "--kind", "monomial", "--from", "2", "--to", "30"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -243,6 +547,22 @@ def test_scan_output_is_flushed_before_each_checkpoint_record(monkeypatch, tmp_p
             "--checkpoint", path, "--format", fmt]
     assert run(argv) == 0
     assert flushed_at_append == [(0, 10), (0, 20), (0, 30), (0, 39)]
+
+
+@pytest.mark.parametrize("fmt_first", [True, False])
+def test_scan_csv_with_checkpoint_is_refused(capsys, tmp_path, fmt_first):
+    """CSV is written only after the last chunk, so with a checkpoint a
+    crash would leave the checkpoint ahead of the output."""
+    path = tmp_path / "scan.ckpt"
+    scan_args = ["scan", "--kind", "quasi", "--from", "2", "--to", "20"]
+    flags = [["--format", "csv"], ["--checkpoint", str(path)]]
+    if not fmt_first:
+        flags.reverse()
+    assert run(scan_args + flags[0] + flags[1]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format csv" in captured.err and "--checkpoint" in captured.err
+    assert not path.exists()
 
 
 def test_scan_checkpoint_mismatch_is_usage_error(capsys, tmp_path):

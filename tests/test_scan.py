@@ -3,7 +3,9 @@ checkpoint/resume, the prime survey, and the reference tables."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 
 import pytest
 
@@ -246,6 +248,43 @@ def test_torn_final_checkpoint_line_is_dropped(tmp_path):
     with open(path, "w") as fh:
         fh.write('{"job":"qua')
     assert run_scan(job).rows == full.rows
+
+
+def test_blank_checkpoint_lines_are_skipped_on_resume(tmp_path):
+    path = str(tmp_path / "scan.ckpt")
+    job = ScanJob(kind="quasi", lo=2, hi=90, chunk=10, checkpoint=path)
+    partial = run_scan(job, max_chunks=3)
+    with open(path) as fh:
+        records = fh.read().splitlines(keepends=True)
+    with open(path, "w") as fh:
+        fh.write("\n" + "  \n".join(records) + "\n")  # blank lines first, between and last
+    assert checkpoint_resume(path) == job
+
+    resumed = run_scan(job)
+    assert resumed.rows[0]["N"] == 32
+    assert partial.rows + resumed.rows == run_scan(ScanJob(kind="quasi", lo=2, hi=90)).rows
+
+
+def test_fsync_flushes_then_syncs_each_checkpoint_record(monkeypatch, tmp_path):
+    path = tmp_path / "scan.ckpt"
+    synced = []  # (inode, size on disk) at each fsync
+
+    def fsync(fd):
+        stat = os.fstat(fd)
+        synced.append((stat.st_ino, stat.st_size))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    argv = ["scan", "--kind", "quasi", "--from", "2", "--to", "40", "--chunk", "10",
+            "--checkpoint", str(path), "--fsync", "--format", "json"]
+    assert cli.run(argv) == 0
+    ends = list(itertools.accumulate(len(line) for line in path.read_bytes().splitlines(True)))
+    assert synced == [(path.stat().st_ino, end) for end in ends]
+    assert len(synced) == 4
+
+    synced.clear()
+    path.unlink()
+    run_scan(ScanJob(kind="quasi", lo=2, hi=40, chunk=10, checkpoint=str(path)))
+    assert synced == []  # off by default
 
 
 def test_unterminated_line_before_others_is_corruption(tmp_path):

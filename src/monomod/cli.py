@@ -17,19 +17,14 @@ import sys
 from typing import Callable
 
 from .classify import DECIDERS, omega_count, sizes_table
-from .construct import (
-    constructed_prop34,
-    witness_lemma41,
-    witness_prop36,
-    witness_prop51,
-)
+from .construct import witness_lemma41, witness_prop34, witness_prop36, witness_prop51
 from .modring import ResidueRing
 from .monomial import find_reduction, minimal_size, report
 from .scan import (
+    APPENDICES,
     SCAN_KINDS,
     CheckpointError,
     ScanJob,
-    WORKER_CAP_ENV,
     emit_appendix,
     rows_to_csv,
     run_scan,
@@ -52,7 +47,7 @@ _WITNESSES = {
     "prop36": (witness_prop36, "coprime split N = n*m, m odd, 3 does not divide m", ("n", "m")),
     "prop51": (witness_prop51, "odd coprime split N = n*m, n < m", ("n", "m")),
     "lemma41": (witness_lemma41, "odd prime power N = p**n, k = a*p**t", ("p", "n", "t", "a")),
-    "prop34": (constructed_prop34, "N/4 or N/p residue when 16 or an odd p*p divides N", ("N",)),
+    "prop34": (witness_prop34, "N/4 or N/p residue when 16 or an odd p*p divides N", ("N",)),
 }
 
 
@@ -61,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="monomod",
         description="Minimal monomial solutions of 2x2 modular matrix"
         " equations: sizes, irreducibility, witnesses, and range scans.",
-        epilog=f"The {WORKER_CAP_ENV} environment variable caps --workers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -113,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-chunks", type=int, default=None, help="stop after this many chunks")
     _add_format(p)
 
-    p = sub.add_parser("appendix", help="reference tables A, B, C, D")
-    p.add_argument("which", choices=("A", "B", "C", "D"))
+    p = sub.add_parser("appendix", help=f"reference tables {', '.join(APPENDICES)}")
+    p.add_argument("which", choices=APPENDICES)
     p.add_argument("--workers", type=int, default=1)
     _add_format(p)
 
@@ -125,16 +119,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, obj: dict | list, text: Callable[[dict], str] | None = None) -> int:
+def _emit(
+    args,
+    obj: dict | list,
+    text: Callable[[dict], str] | None = None,
+    columns: tuple[str, ...] = (),
+) -> int:
     """Print obj, one row or a list of rows, in args.format: one JSON
-    value, CSV (see rows_to_csv), or one line per row, which is text(row)
-    for a command with its own text form and key=value fields otherwise.
-    Returns the exit code 0."""
+    value, CSV (see rows_to_csv; columns lead the header), or one line
+    per row, which is text(row) for a command with its own text form and
+    key=value fields otherwise.  Returns the exit code 0."""
     rows = obj if isinstance(obj, list) else [obj]
     if args.format == "json":
         print(json.dumps(obj))
     elif args.format == "csv":
-        sys.stdout.write(rows_to_csv(rows))
+        sys.stdout.write(rows_to_csv(rows, columns))
     else:
         for row in rows:
             print((text or _text_line)(row))
@@ -217,7 +216,9 @@ def _cmd_omega(args) -> int:
 
 def _cmd_sizes_table(args) -> int:
     rows = [{"k": k, "size": r} for k, r in sizes_table(args.p)]
-    return _emit(args, rows, text=lambda row: f"k={row['k']} r={row['size']}")
+    return _emit(
+        args, rows, text=lambda row: f"k={row['k']} r={row['size']}", columns=("k", "size")
+    )
 
 
 def _cmd_witness(args) -> int:
@@ -267,7 +268,8 @@ def _cmd_scan(args) -> int:
     on_rows = None if args.format == "csv" else stream
     result = run_scan(job, on_rows=on_rows, max_chunks=args.max_chunks)
     if args.format == "csv":
-        _emit(args, result.rows)
+        fields = ("phi", "omega") if args.kind == "omega" else ("verdict",)
+        _emit(args, result.rows, columns=("N", "kind", *fields))
     if result.anomalies:
         message = f"{len(result.anomalies)} anomalies: " + json.dumps(result.anomalies)
         print(message, file=sys.stderr)

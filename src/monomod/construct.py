@@ -15,12 +15,11 @@ from math import gcd
 from ._numbers import crt as _crt_pairs
 from ._numbers import egcd, factorize, inv_mod, is_prime
 from .modring import ResidueRing
-from .monomial import ReductionWitness, find_reduction, minimal_size
+from .monomial import find_reduction, minimal_size
 from .solutions import ModTuple, solution_sign
 
 __all__ = [
     "ConstructedWitness",
-    "constructed_prop34",
     "crt",
     "reducible_k_prop34",
     "witness_lemma41",
@@ -166,10 +165,9 @@ def reducible_k_prop34(n: int) -> int | None:
     return None
 
 
-def witness_prop34(n: int) -> tuple[int, ReductionWitness] | None:
-    """(k, ReductionWitness) for the reducible_k_prop34 residue, with
-    the reducer found by the generic search; None when no pattern
-    applies."""
+def witness_prop34(n: int) -> ConstructedWitness | None:
+    """Certificate for the reducible_k_prop34 residue, with the reducer
+    found by the generic search; None when no pattern applies."""
     k = reducible_k_prop34(n)
     if k is None:
         return None
@@ -177,17 +175,5 @@ def witness_prop34(n: int) -> tuple[int, ReductionWitness] | None:
     witness = find_reduction(ring, k)
     if witness is None:
         raise RuntimeError(f"expected k={k} to be reducible mod {n}")
-    return k, witness
-
-
-def constructed_prop34(n: int) -> ConstructedWitness | None:
-    """witness_prop34 packaged as a self-checking certificate."""
-    found = witness_prop34(n)
-    if found is None:
-        return None
-    k, witness = found
-    ring = ResidueRing(n)
     size, _ = minimal_size(ring, k)
-    return ConstructedWitness(
-        n, k, size, _bordered(ring, witness.x, ring.canon(k), witness.length), "prop34"
-    )
+    return ConstructedWitness(n, k, size, _bordered(ring, witness.x, k, witness.length), "prop34")

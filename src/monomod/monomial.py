@@ -118,10 +118,7 @@ def find_reduction_naive(ring: ResidueRing, k: int) -> ReductionWitness | None:
             wc = (qc * x + qd) % n
             wd = (n - qc) % n
             if wc == 0 and wa == wd and wa in (1, n - 1):
-                sign = 1 if wa == 1 else -1
-                if n == 2:
-                    sign = 1
-                return ReductionWitness(x, t + 2, sign)
+                return ReductionWitness(x, t + 2, 1 if wa == 1 else -1)
     return None
 
 

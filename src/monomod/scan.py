@@ -32,14 +32,13 @@ __all__ = [
     "emit_appendix",
     "rows_to_csv",
     "run_scan",
-    "scan_class",
     "scan_conjecture",
     "scan_conjecture_checked",
 ]
 
-WORKER_CAP_ENV = "MONOMOD_MAX_WORKERS"
-
 SCAN_KINDS = (*DECIDERS, "omega")
+
+APPENDICES = ("A", "B", "C", "D")
 
 APPENDIX_C_MODULI = (48, 108, 192, 216, 384, 864)
 
@@ -191,17 +190,6 @@ def checkpoint_resume(path: str) -> ScanJob:
     return _recorded_job(record, path)
 
 
-def _effective_workers(requested: int) -> int:
-    cap = os.environ.get(WORKER_CAP_ENV)
-    if cap is None or cap == "":
-        return requested
-    try:
-        cap_value = int(cap)
-    except ValueError:
-        raise ValueError(f"{WORKER_CAP_ENV} must be an integer, got {cap!r}") from None
-    return max(1, min(requested, cap_value))
-
-
 def run_scan(
     job: ScanJob,
     *,
@@ -255,7 +243,7 @@ def run_scan(
     if not chunks:
         return result
     args = [(job.kind, ns) for ns in chunks]
-    workers = min(_effective_workers(job.workers), len(chunks))
+    workers = min(job.workers, len(chunks))
     if workers == 1:
         produced: Iterable[list[dict]] = map(_scan_chunk, args)
         _drain(job, result, args, produced, on_rows)
@@ -318,25 +306,6 @@ def _append_checkpoint(job: ScanJob, result: ScanResult) -> None:
             os.fsync(fh.fileno())
 
 
-def scan_class(
-    kind: str,
-    lo: int,
-    hi: int,
-    *,
-    on_rows: Callable[[list[dict]], None] | None = None,
-    max_chunks: int | None = None,
-    **options,
-) -> ScanResult:
-    """Decide one irreducibility class over [lo, hi] and compare with
-    the known characterizations; options are ScanJob fields, and see
-    run_scan for on_rows and max_chunks."""
-    if kind not in DECIDERS:
-        raise ValueError(f"scan_class kind must be {'/'.join(DECIDERS)}, got {kind!r}")
-    return run_scan(
-        ScanJob(kind=kind, lo=lo, hi=hi, **options), on_rows=on_rows, max_chunks=max_chunks
-    )
-
-
 def scan_conjecture(max_prime: int) -> list[int]:
     """Odd primes p <= max_prime whose nonzero minimal sizes all avoid
     2 mod 4; stops scanning a prime at its first k in [1,(p-1)/2] that
@@ -387,6 +356,10 @@ def emit_appendix(which: str, *, workers: int = 1) -> list[dict]:
     D — even semi-irreducible moduli from 4 through 2500, tagged
         twice_prime_power / product_closure / numerical_only.
     """
+    if which not in APPENDICES:
+        raise ValueError(f"appendix must be one of {', '.join(APPENDICES)}; got {which!r}")
+    if workers < 1:  # B and C run no ScanJob to check it
+        raise ValueError("workers must be >= 1")
     if which == "A":
         result = run_scan(ScanJob(kind="quasi", lo=2, hi=1000, workers=workers))
         table = []
@@ -421,22 +394,21 @@ def emit_appendix(which: str, *, workers: int = 1) -> list[dict]:
             ]
             table.append({"N": n, "reducible": ks})
         return table
-    if which == "D":
-        result = run_scan(ScanJob(kind="semi", lo=4, hi=2500, workers=workers))
-        return [
-            {"N": row["N"], "tag": semi_family(row["N"]) or "numerical_only"}
-            for row in result.rows
-            if row["verdict"]
-        ]
-    raise ValueError(f"appendix must be one of A, B, C, D; got {which!r}")
+    result = run_scan(ScanJob(kind="semi", lo=4, hi=2500, workers=workers))  # D
+    return [
+        {"N": row["N"], "tag": semi_family(row["N"]) or "numerical_only"}
+        for row in result.rows
+        if row["verdict"]
+    ]
 
 
-def rows_to_csv(rows: list[dict]) -> str:
-    """Flatten rows to CSV with stable columns, in first-seen order.  A
-    counterexample's fields become unprefixed columns after the others;
-    any other nested object's fields become key_field columns, as in the
-    text format; lists are space-joined."""
-    columns: list[str] = []
+def rows_to_csv(rows: list[dict], columns: Iterable[str] = ()) -> str:
+    """Flatten rows to CSV with stable columns: the given columns first,
+    so that an empty table still has its header, then the rest in
+    first-seen order.  A counterexample's fields become unprefixed
+    columns after the others; any other nested object's fields become
+    key_field columns, as in the text format; lists are space-joined."""
+    fieldnames = list(columns)
     flat_rows = []
     for row in rows:
         flat = {}
@@ -451,11 +423,11 @@ def rows_to_csv(rows: list[dict]) -> str:
                 flat[key] = value
         flat.update(row.get("counterexample") or {})
         for key in flat:
-            if key not in columns:
-                columns.append(key)
+            if key not in fieldnames:
+                fieldnames.append(key)
         flat_rows.append(flat)
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=columns)
+    writer = csv.DictWriter(out, fieldnames=fieldnames)
     writer.writeheader()
     for flat in flat_rows:
         writer.writerow(flat)

@@ -3,8 +3,11 @@ and error paths."""
 
 from __future__ import annotations
 
+import argparse
+import importlib
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -15,7 +18,7 @@ import pytest
 import monomod
 from conftest import load_data
 from monomod import construct, scan
-from monomod.cli import run
+from monomod.cli import build_parser, run
 from monomod.modring import ResidueRing
 from monomod.monomial import minimal_size
 
@@ -130,7 +133,7 @@ _PINNED = {
     ),
     ("sizes-table 2", "text"): "",
     ("sizes-table 2", "json"): "[]\n",
-    ("sizes-table 2", "csv"): "\r\n",
+    ("sizes-table 2", "csv"): "k,size\r\n",
     ("witness prop36 3 5", "text"): (
         "modulus=15 k=7 size=30 source=prop36 x=12 len=5 sign=1 verified=true\n"
     ),
@@ -248,6 +251,12 @@ _PINNED = {
         "N,kind,phi,omega\r\n5,omega,4,4\r\n6,omega,2,5\r\n"
         "7,omega,6,6\r\n"
     ),
+    ("scan --kind quasi --from 2 --to 20 --max-chunks 0", "text"): "",
+    ("scan --kind quasi --from 2 --to 20 --max-chunks 0", "json"): "",
+    ("scan --kind quasi --from 2 --to 20 --max-chunks 0", "csv"): "N,kind,verdict\r\n",
+    ("scan --kind omega --from 2 --to 20 --max-chunks 0", "text"): "",
+    ("scan --kind omega --from 2 --to 20 --max-chunks 0", "json"): "",
+    ("scan --kind omega --from 2 --to 20 --max-chunks 0", "csv"): "N,kind,phi,omega\r\n",
     ("conjecture --max 200", "text"): "3 5 7 17 31 127\n",
     ("conjecture --max 200", "json"): '{"max": 200, "primes": [3, 5, 7, 17, 31, 127]}\n',
     ("conjecture --max 200", "csv"): "p\r\n3\r\n5\r\n7\r\n17\r\n31\r\n127\r\n",
@@ -641,11 +650,29 @@ def test_bad_modulus_exit_two(capsys):
     assert obj["error"]["code"] == 2
 
 
-def test_worker_cap_env_garbage_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("MONOMOD_MAX_WORKERS", "abc")
-    code = run(["scan", "--kind", "quasi", "--from", "2", "--to", "10"])
-    assert code == 2
-    assert "MONOMOD_MAX_WORKERS" in capsys.readouterr().err
+@pytest.mark.parametrize("which", scan.APPENDICES)
+def test_appendix_workers_below_one_is_usage_error(capsys, which):
+    for workers in ("0", "-3"):
+        assert run(["appendix", which, "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: workers must be >= 1\n"
+
+
+def test_api_surface_lists_only_names_that_exist(capsys):
+    modules = [monomod] + [
+        importlib.import_module(f"monomod.{info.name}")
+        for info in pkgutil.iter_modules(monomod.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    which = next(a for a in commands.choices["appendix"]._actions if a.dest == "which")
+    assert tuple(which.choices) == scan.APPENDICES
+    assert run(["--help"]) == 0
+    assert "MONOMOD_MAX_WORKERS" not in capsys.readouterr().out
 
 
 def _env_with_src() -> dict[str, str]:

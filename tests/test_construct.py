@@ -7,8 +7,8 @@ from math import gcd
 import pytest
 
 from monomod.classify import decide_quasi
+from monomod import construct
 from monomod.construct import (
-    constructed_prop34,
     crt,
     reducible_k_prop34,
     witness_lemma41,
@@ -17,8 +17,8 @@ from monomod.construct import (
     witness_prop51,
 )
 from monomod.modring import ResidueRing
-from monomod.monomial import ReductionWitness, minimal_size
-from monomod.solutions import solution_sign
+from monomod.monomial import minimal_size
+from monomod.solutions import ModTuple, solution_sign
 
 
 def test_crt_examples():
@@ -106,12 +106,12 @@ def test_lemma41_rejects_bad_parameters(p, n, t, a):
 
 
 def test_prop34_examples():
-    k16, w16 = witness_prop34(16)
-    assert k16 == 4 and isinstance(w16, ReductionWitness)
+    w16 = witness_prop34(16)
+    assert (w16.modulus, w16.k, w16.source) == (16, 4, "prop34")
     # 45 = 3*3*5: divisible by an odd square, so N/p = 15 is designated
-    k45, w45 = witness_prop34(45)
-    assert k45 == 15
-    assert (w45.x, w45.length) == (30, 4)
+    w45 = witness_prop34(45)
+    assert (w45.k, w45.size) == (15, 6)
+    assert (w45.reducer.entries[0], len(w45.reducer)) == (30, 4)
     assert witness_prop34(24) is None
     assert reducible_k_prop34(48) == 12  # 16 | 48 takes precedence
     assert reducible_k_prop34(2) is None
@@ -120,11 +120,17 @@ def test_prop34_examples():
 
 
 def test_constructed_prop34_certificates_verify():
-    assert constructed_prop34(24) is None
+    assert witness_prop34(24) is None
     for n in (16, 45, 48, 50, 63, 80, 96, 99):
-        cw = constructed_prop34(n)
+        cw = witness_prop34(n)
         assert cw is not None and cw.source == "prop34"
         assert cw.verify(), n
+
+
+def test_prop34_raises_when_its_residue_is_not_reducible(monkeypatch):
+    monkeypatch.setattr(construct, "find_reduction", lambda ring, k: None)
+    with pytest.raises(RuntimeError, match="k=15"):
+        witness_prop34(45)
 
 
 def test_verify_rejects_tampered_certificates():
@@ -135,6 +141,19 @@ def test_verify_rejects_tampered_certificates():
     assert not fake_k.verify()
     fake_modulus = type(w)(30, w.k, w.size, w.reducer, w.source)
     assert not fake_modulus.verify()
+    ring, x, k = w.reducer.ring, w.reducer.entries[0], w.k
+    assert (w.modulus, k, w.size, x, len(w.reducer)) == (15, 7, 30, 12, 5)
+
+    def tampered(k=k, entries=w.reducer.entries):
+        return type(w)(w.modulus, k, w.size, ModTuple(ring, entries), w.source)
+
+    assert not tampered(k=0).verify()
+    assert not tampered(entries=(x,) + (k,) * (w.size - 2) + (x,)).verify()  # too long
+    assert not tampered(entries=(x, x)).verify()  # too short
+    assert not tampered(entries=(x, k, k + 1, k, x)).verify()  # not (x, k, ..., k, x)
+    assert not tampered(entries=(x, k, k, k, x + 1)).verify()  # borders differ
+    assert not tampered(entries=(1, k, k, k, 1)).verify()  # 1 * (1 - k) != 0 mod 15
+    assert not tampered(entries=(x, k, k, x)).verify()  # a border root, but no solution
 
 
 def _prop36_pairs(limit: int):

@@ -20,7 +20,6 @@ from monomod.scan import (
     emit_appendix,
     rows_to_csv,
     run_scan,
-    scan_class,
     scan_conjecture,
     scan_conjecture_checked,
 )
@@ -45,12 +44,10 @@ def test_scan_job_validates_fields():
 def test_run_scan_rejects_non_range_kinds():
     with pytest.raises(ValueError):
         run_scan(ScanJob(kind="conjecture", lo=2, hi=10))
-    with pytest.raises(ValueError):
-        scan_class("omega", 2, 10)
 
 
 def test_scan_rows_are_ordered_and_anomaly_free():
-    result = scan_class("quasi", 2, 120)
+    result = run_scan(ScanJob(kind="quasi", lo=2, hi=120))
     assert [row["N"] for row in result.rows] == list(range(2, 121))
     assert result.anomalies == []
     assert result.completed_to == 120
@@ -117,19 +114,6 @@ def test_worker_count_does_not_change_output():
     pooled = run_scan(ScanJob(kind="quasi", lo=2, hi=120, chunk=8, workers=3))
     assert json.dumps(single.rows) == json.dumps(pooled.rows)
     assert single.anomalies == pooled.anomalies
-
-
-def test_worker_env_cap_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("MONOMOD_MAX_WORKERS", "three")
-    with pytest.raises(ValueError, match="MONOMOD_MAX_WORKERS"):
-        run_scan(ScanJob(kind="quasi", lo=2, hi=20, workers=2))
-
-
-def test_worker_env_cap_limits_pool(monkeypatch):
-    monkeypatch.setenv("MONOMOD_MAX_WORKERS", "1")
-    capped = run_scan(ScanJob(kind="quasi", lo=2, hi=60, workers=8))
-    plain = run_scan(ScanJob(kind="quasi", lo=2, hi=60, workers=1))
-    assert capped.rows == plain.rows
 
 
 def test_streaming_callback_sees_every_row_in_order():
@@ -479,6 +463,18 @@ def test_conjecture_sampled_cross_check_is_clean():
     assert anomalies == []
 
 
+def test_conjecture_check_reports_a_fast_size_the_walk_disagrees_with(monkeypatch):
+    fast = scan.minimal_size_prime_fast
+
+    def wrong_at_5_1(p, k):
+        r, eps = fast(p, k)
+        return (r + 1, eps) if (p, k) == (5, 1) else (r, eps)
+
+    monkeypatch.setattr(scan, "minimal_size_prime_fast", wrong_at_5_1)
+    _, anomalies = scan_conjecture_checked(13, sample_den=1)  # every pair is sampled
+    assert anomalies == [{"p": 5, "k": 1, "fast": [4, -1], "walk": [3, -1]}]
+
+
 @pytest.mark.parametrize(
     "n,family",
     [
@@ -508,6 +504,13 @@ def test_appendix_c_matches_frozen_table():
         emit_appendix("E")
 
 
+@pytest.mark.parametrize("which", scan.APPENDICES)
+@pytest.mark.parametrize("workers", [0, -3])
+def test_every_appendix_rejects_workers_below_one(which, workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        emit_appendix(which, workers=workers)
+
+
 def test_rows_to_csv_flattens_structures():
     rows = [
         {"N": 10, "kind": "quasi", "verdict": True},
@@ -524,3 +527,11 @@ def test_rows_to_csv_flattens_structures():
     assert lines[0] == "N,kind,verdict,k,x,len,reducible"
     assert lines[2] == "14,quasi,False,3,7,4,"
     assert lines[3].endswith('"0 4 12"') or lines[3].endswith("0 4 12")
+
+
+def test_rows_to_csv_leads_with_the_given_columns():
+    assert rows_to_csv([], ("N", "kind", "verdict")) == "N,kind,verdict\r\n"
+    ce = {"k": 3, "x": 6, "len": 4}
+    rows = [{"N": 9, "kind": "quasi", "verdict": False, "counterexample": ce}]
+    assert rows_to_csv(rows, ("N", "kind", "verdict")) == rows_to_csv(rows)
+    assert rows_to_csv(rows, ("verdict",)).splitlines()[0] == "verdict,N,kind,k,x,len"

@@ -146,6 +146,8 @@ def semi_family(n: int) -> str | None:
     SEMI_CLOSURE_PRIMES ({3,5,7,17,31,127}), or n = 2 * (a product of
     3s and 5s).  Families overlap; the first match wins.
     """
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
     if n % 2 == 1:
         pe = prime_power(n)
         return "odd_prime_power" if pe is not None and pe[0] != 2 else None

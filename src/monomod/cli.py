@@ -11,6 +11,7 @@ of stdout went away early, as in `monomod scan ... | head`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -100,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--chunk", type=int, default=64)
+    p.add_argument("--workers", type=int, default=ScanJob.workers)
+    p.add_argument("--chunk", type=int, default=ScanJob.chunk)
     p.add_argument("--include-odd", action="store_true", help="semi: scan odd N too")
     p.add_argument("--fsync", action="store_true", help="fsync checkpoint per chunk")
     p.add_argument("--max-chunks", type=int, default=None, help="stop after this many chunks")
@@ -247,16 +248,8 @@ def _cmd_scan(args) -> int:
         # CSV goes out only after the last chunk (its header needs every
         # row), so a crash would leave the checkpoint ahead of the output.
         return _fail(args, "--format csv cannot be combined with --checkpoint; use json or text")
-    job = ScanJob(
-        kind=args.kind,
-        lo=args.lo,
-        hi=args.hi,
-        chunk=args.chunk,
-        checkpoint=args.checkpoint,
-        workers=args.workers,
-        include_odd=args.include_odd,
-        fsync=args.fsync,
-    )
+    # every scan flag's dest is the name of its ScanJob field
+    job = ScanJob(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ScanJob)})
 
     def stream(rows: list[dict]) -> None:
         for row in rows:

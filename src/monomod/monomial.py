@@ -165,7 +165,7 @@ def minimal_size_prime_fast(p: int, k: int) -> tuple[int, int]:
         raise ValueError(f"{p} is not prime")
     k %= p
     if p == 2:
-        return core.order_pm(2, k, 9)
+        return minimal_size(ResidueRing(2), k)
     if k == 0:
         return 2, -1
     disc = (k * k - 4) % p

@@ -18,11 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from . import core
 from ._numbers import euler_phi, prime_power, sieve_primes
 from .classify import DECIDERS, PREDICTORS, omega_count, semi_family
 from .modring import ResidueRing
-from .monomial import find_reduction, minimal_size_prime_fast
+from .monomial import find_reduction, minimal_size, minimal_size_prime_fast
 
 __all__ = [
     "CheckpointError",
@@ -84,13 +83,7 @@ class ScanResult:
     completed_to: int = 0
 
 
-def _candidate(kind: str, n: int, include_odd: bool) -> bool:
-    if kind == "semi" and not include_odd:
-        return n % 2 == 0
-    return True
-
-
-def _scan_chunk(args: tuple[str, tuple[int, ...]]) -> list[dict]:
+def _scan_chunk(args: tuple[str, range]) -> list[dict]:
     """Worker body: verdict rows for one chunk of moduli."""
     kind, ns = args
     rows = []
@@ -201,8 +194,9 @@ def run_scan(
     on_rows receives each flushed chunk (for streaming output) before
     the checkpoint record that covers it is appended;
     max_chunks stops cleanly after that many chunks, leaving a
-    resumable checkpoint.  The pool never gets more workers than there
-    are chunks, and one worker runs in this process.
+    resumable checkpoint; such a slice costs the same whatever the
+    range.  The pool has at most min(workers, chunks, CPUs) processes,
+    and one worker runs in this process.
     """
     if max_chunks is not None and max_chunks < 0:
         raise ValueError("max_chunks must be >= 0")
@@ -229,28 +223,22 @@ def run_scan(
             if torn is not None:
                 fh.truncate(torn)
     result = ScanResult(job, anomalies=anomalies, completed_to=completed)
-    candidates = [
-        n
-        for n in range(start, job.hi + 1)
-        if _candidate(job.kind, n, job.include_odd)
-    ]
-    chunks = [
-        tuple(candidates[i : i + job.chunk])
-        for i in range(0, len(candidates), job.chunk)
-    ]
-    if max_chunks is not None:
-        chunks = chunks[: max_chunks]
-    if not chunks:
+    # The candidates are one progression from the first one >= start
+    # (even N only for semi), so each chunk is a range, made lazily.
+    step = 2 if job.kind == "semi" and not job.include_odd else 1
+    stride = step * job.chunk
+    firsts = range(start + start % step, job.hi + 1, stride)[:max_chunks]
+    if not firsts:
         return result
-    args = [(job.kind, ns) for ns in chunks]
-    workers = min(job.workers, len(chunks))
+    chunks = ((job.kind, range(f, min(f + stride, job.hi + 1), step)) for f in firsts)
+    # min(workers, chunks, CPUs); len() overflows past sys.maxsize
+    workers = min(len(firsts[: job.workers]), os.cpu_count() or 1)
     if workers == 1:
-        produced: Iterable[list[dict]] = map(_scan_chunk, args)
-        _drain(job, result, args, produced, on_rows)
+        _drain(job, result, map(_scan_chunk, chunks), on_rows)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
-                _drain(job, result, args, pool.map(_scan_chunk, args), on_rows)
+                _drain(job, result, pool.map(_scan_chunk, chunks), on_rows)
             except BaseException:
                 # Leaving the with block waits for every chunk still
                 # queued; drop those first, since nothing will read them.
@@ -262,12 +250,11 @@ def run_scan(
 def _drain(
     job: ScanJob,
     result: ScanResult,
-    args: list[tuple[str, tuple[int, ...]]],
     produced: Iterable[list[dict]],
     on_rows: Callable[[list[dict]], None] | None,
 ) -> None:
     predict = PREDICTORS.get(job.kind, lambda n: None)
-    for (_, ns), rows in zip(args, produced):
+    for rows in produced:
         for row in rows:
             expected = predict(row["N"])
             if expected is not None and expected != row["verdict"]:
@@ -280,7 +267,7 @@ def _drain(
                     }
                 )
         result.rows.extend(rows)
-        result.completed_to = ns[-1]
+        result.completed_to = rows[-1]["N"]  # a chunk has one row per N
         # Rows go out before the record that covers them, so a crash can
         # repeat a chunk on resume but never skip one.
         if on_rows is not None:
@@ -332,7 +319,7 @@ def scan_conjecture_checked(
         for k in range(1, (p - 1) // 2 + 1):
             r, eps = minimal_size_prime_fast(p, k)
             if sample_den and (p * 1009 + k * 101) % sample_den == 0:
-                walked = core.order_pm(p, k, p**3 + 1)
+                walked = minimal_size(ResidueRing(p), k)
                 if walked != (r, eps):
                     anomalies.append(
                         {"p": p, "k": k, "fast": [r, eps], "walk": list(walked)}

@@ -16,7 +16,9 @@ from monomod.classify import (
     predict_monomial,
     predict_quasi,
     predict_reducible_set_2x3m,
+    predict_semi,
     semi_candidates,
+    semi_family,
     sizes_table,
     units_only,
 )
@@ -112,6 +114,14 @@ def test_predictors_reject_tiny_moduli():
         predict_monomial(1)
     with pytest.raises(ValueError):
         predict_quasi(0)
+
+
+@pytest.mark.parametrize("n", [0, 1, -4])
+def test_every_closed_form_rejects_moduli_below_two(n):
+    # 0 % p == 0 for every p, so an unchecked 0 would strip primes forever
+    for closed_form in (predict_monomial, predict_quasi, predict_semi, semi_family):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            closed_form(n)
 
 
 def test_predict_reducible_set_examples():

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -173,6 +174,7 @@ def test_consumer_error_cancels_queued_chunks(monkeypatch):
     def on_rows(rows):
         raise BrokenPipeError
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
     with pytest.raises(BrokenPipeError):
         run_scan(ScanJob(kind="quasi", lo=2, hi=400, chunk=4, workers=2), on_rows=on_rows)
@@ -191,12 +193,130 @@ def test_pool_is_no_larger_than_the_chunk_count(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
     one_chunk = run_scan(ScanJob(kind="quasi", lo=2, hi=20, workers=4))
     assert sizes == []  # a single chunk runs in this process
     two_chunks = run_scan(ScanJob(kind="quasi", lo=2, hi=20, chunk=10, workers=4))
     assert sizes == [2]
     assert one_chunk.rows == two_chunks.rows
+
+
+def test_pool_is_no_larger_than_the_cpu_count(monkeypatch):
+    sizes = []
+
+    class Refused(Exception):
+        pass
+
+    def recording_pool(max_workers=None, **kwargs):
+        sizes.append(max_workers)
+        raise Refused  # before any process starts
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", recording_pool)
+    with pytest.raises(Refused):
+        run_scan(ScanJob("quasi", 2, 5001, chunk=1, workers=5000))
+    assert sizes == [2]
+    # more chunks than sys.maxsize: the pool is sized without len()
+    with pytest.raises(Refused):
+        run_scan(ScanJob("quasi", 2, 10**30, workers=3))
+    assert sizes == [2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker
+    assert len(run_scan(ScanJob("quasi", 2, 20, chunk=5, workers=4)).rows) == 19
+    assert sizes == [2, 2]
+
+
+def _listed_plan(job, start, max_chunks):
+    """The plan as it once was: every candidate listed, then cut into
+    tuples of job.chunk."""
+    candidates = [
+        n
+        for n in range(start, job.hi + 1)
+        if job.kind != "semi" or job.include_odd or n % 2 == 0
+    ]
+    chunks = [
+        tuple(candidates[i : i + job.chunk])
+        for i in range(0, len(candidates), job.chunk)
+    ]
+    return chunks[:max_chunks]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@pytest.mark.parametrize("lo", [2, 3])
+@pytest.mark.parametrize(
+    "kind,include_odd",
+    [(kind, False) for kind in scan.SCAN_KINDS] + [("semi", True)],
+)
+def test_chunks_follow_the_listed_plan(tmp_path, kind, include_odd, lo, chunk):
+    def run(job, max_chunks=None):
+        seen = []
+        result = run_scan(
+            job,
+            on_rows=lambda rows: seen.append(tuple(row["N"] for row in rows)),
+            max_chunks=max_chunks,
+        )
+        return seen, result.completed_to
+
+    def records_for(plan):
+        return [
+            {
+                "job": kind,
+                "lo": lo,
+                "hi": lo + 20,
+                "chunk": chunk,
+                "include_odd": include_odd,
+                "completed_to": ns[-1],
+                "anomalies": [],
+            }
+            for ns in plan
+        ]
+
+    def recorded(path):
+        with open(path) as fh:
+            return [json.loads(line) for line in fh]
+
+    for max_chunks in (None, 0, 1, 2):
+        path = tmp_path / f"{max_chunks}.ckpt"
+        job = ScanJob(kind, lo, lo + 20, chunk=chunk, include_odd=include_odd, checkpoint=str(path))
+        plan = _listed_plan(job, lo, max_chunks)
+        assert run(job, max_chunks) == (plan, plan[-1][-1] if plan else lo - 1)
+        assert recorded(path) == records_for(plan)
+
+    # a two-chunk run, then a resume from its checkpoint
+    path = tmp_path / "resumed.ckpt"
+    job = ScanJob(kind, lo, lo + 20, chunk=chunk, include_odd=include_odd, checkpoint=str(path))
+    first, completed = run(job, 2)
+    assert first == _listed_plan(job, lo, 2)
+    rest = _listed_plan(job, completed + 1, None)
+    assert run(job) == (rest, rest[-1][-1] if rest else completed)
+    assert first + rest == _listed_plan(job, lo, None)
+    assert recorded(path) == records_for(first + rest)
+
+
+@pytest.mark.parametrize("kind", ["quasi", "semi"])
+def test_a_one_chunk_slice_does_not_list_the_range(kind):
+    tracemalloc.start()
+    try:
+        result = run_scan(ScanJob(kind, 2, 2 * 10**6), max_chunks=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.rows) == 64
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("kind", ["quasi", "semi", "omega"])
+def test_a_one_chunk_slice_of_a_huge_range_starts_at_once(kind):
+    tracemalloc.start()
+    try:
+        result = run_scan(ScanJob(kind, 3, 10**30), max_chunks=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    first, step = (4, 2) if kind == "semi" else (3, 1)
+    assert [row["N"] for row in result.rows] == list(range(first, first + 64 * step, step))
+    assert result.completed_to == result.rows[-1]["N"]
+    assert peak < 1_000_000
 
 
 def test_negative_max_chunks_is_rejected(tmp_path):

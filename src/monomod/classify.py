@@ -42,6 +42,7 @@ __all__ = [
     "predict_quasi",
     "predict_reducible_set_2x3m",
     "predict_semi",
+    "quasi_family",
     "semi_candidates",
     "semi_family",
     "sizes_table",
@@ -123,19 +124,30 @@ def predict_monomial(n: int) -> bool:
     return is_prime(n) or n in MONOMIAL_SPORADIC
 
 
-def predict_quasi(n: int) -> bool:
-    """Closed form: prime powers and 2**a * 3**b with a, b >= 1."""
+def _built_from(n: int, primes: Iterable[int]) -> bool:
+    """Is n a product of the given primes?"""
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def quasi_family(n: int) -> str | None:
+    """Name of the quasi irreducible family containing n, if any:
+    "prime", "prime_power" (p**e with e >= 2), or "two_three"
+    (2**a * 3**b with a, b >= 1)."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    if prime_power(n) is not None:
-        return True
-    if n % 6 != 0:
-        return False
-    m = n
-    for p in (2, 3):
-        while m % p == 0:
-            m //= p
-    return m == 1
+    pe = prime_power(n)
+    if pe is not None:
+        return "prime" if pe[1] == 1 else "prime_power"
+    # not a prime power, so built from 2 and 3 means both divide n
+    return "two_three" if _built_from(n, (2, 3)) else None
+
+
+def predict_quasi(n: int) -> bool:
+    """Closed form: prime powers and 2**a * 3**b with a, b >= 1."""
+    return quasi_family(n) is not None
 
 
 def semi_family(n: int) -> str | None:
@@ -153,21 +165,8 @@ def semi_family(n: int) -> str | None:
         return "odd_prime_power" if pe is not None and pe[0] != 2 else None
     if prime_power(n // 2) is not None:
         return "twice_prime_power"
-    if n % 4 == 0:
-        m = n
-        for p in (2, *SEMI_CLOSURE_PRIMES):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return "product_closure"
-    else:
-        m = n // 2
-        for p in (3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return "product_closure"
-    return None
+    closure = SEMI_CLOSURE_PRIMES if n % 4 == 0 else (3, 5)
+    return "product_closure" if _built_from(n, (2, *closure)) else None
 
 
 def predict_semi(n: int) -> bool | None:

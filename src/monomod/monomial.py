@@ -159,15 +159,13 @@ def minimal_size_prime_fast(p: int, k: int) -> tuple[int, int]:
     F_{p**2}.  With e the order of lambda = (k+theta)/2 in
     F_p[theta]/(theta**2-(k**2-4)): r = e and eps = +1 when e is odd,
     r = e/2 and eps = -1 when e is even.  k = +/-2 mod p is the repeated
-    eigenvalue case with r = p; k = 0 gives M(0)**2 = -Id.
+    eigenvalue case with r = p.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     k %= p
     if p == 2:
         return minimal_size(ResidueRing(2), k)
-    if k == 0:
-        return 2, -1
     disc = (k * k - 4) % p
     if disc == 0:
         return (p, 1) if k == 2 else (p, -1)

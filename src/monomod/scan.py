@@ -1,8 +1,8 @@
 """Range scans with checkpointing: verdicts over intervals of moduli,
 the prime size-class survey, and the four reference tables.
 
-Work is cut into fixed-size chunks of candidate moduli and distributed
-over a process pool; results are merged and flushed strictly in
+Work is cut into fixed-size chunks of candidate moduli and fed to a
+process pool a few at a time; results are flushed strictly in
 ascending order, so output is identical for any worker count.  Each
 flushed chunk appends one checkpoint record; the last record alone
 carries everything needed to resume.
@@ -14,12 +14,15 @@ import csv
 import io
 import json
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
-from ._numbers import euler_phi, prime_power, sieve_primes
-from .classify import DECIDERS, PREDICTORS, omega_count, semi_family
+from ._numbers import euler_phi, sieve_primes
+from .classify import DECIDERS, PREDICTORS, omega_count, quasi_family, semi_family
 from .modring import ResidueRing
 from .monomial import find_reduction, minimal_size, minimal_size_prime_fast
 
@@ -195,8 +198,10 @@ def run_scan(
     the checkpoint record that covers it is appended;
     max_chunks stops cleanly after that many chunks, leaving a
     resumable checkpoint; such a slice costs the same whatever the
-    range.  The pool has at most min(workers, chunks, CPUs) processes,
-    and one worker runs in this process.
+    range.  The pool has at most min(workers, chunks, CPUs) processes
+    and holds at most 2 * workers chunks, so the first row comes as
+    soon as the first chunk is done, whatever the range; one worker
+    runs in this process.
     """
     if max_chunks is not None and max_chunks < 0:
         raise ValueError("max_chunks must be >= 0")
@@ -234,46 +239,44 @@ def run_scan(
     # min(workers, chunks, CPUs); len() overflows past sys.maxsize
     workers = min(len(firsts[: job.workers]), os.cpu_count() or 1)
     if workers == 1:
-        _drain(job, result, map(_scan_chunk, chunks), on_rows)
+        produced = (_scan_chunk(chunk) for chunk in chunks)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                _drain(job, result, pool.map(_scan_chunk, chunks), on_rows)
-            except BaseException:
-                # Leaving the with block waits for every chunk still
-                # queued; drop those first, since nothing will read them.
-                pool.shutdown(cancel_futures=True)
-                raise
+        produced = _pooled(chunks, workers)
+    predict = PREDICTORS.get(job.kind, lambda n: None)
+    # closing: an error in the loop shuts the pool down before it waits
+    with closing(produced):
+        for rows in produced:
+            result.anomalies += [
+                {"N": row["N"], "kind": job.kind, "expected": e, "got": row["verdict"]}
+                for row in rows
+                if (e := predict(row["N"])) is not None and e != row["verdict"]
+            ]
+            result.rows.extend(rows)
+            result.completed_to = rows[-1]["N"]  # a chunk has one row per N
+            # Rows go out before the record that covers them, so a crash
+            # can repeat a chunk on resume but never skip one.
+            if on_rows is not None:
+                on_rows(rows)
+            if job.checkpoint:
+                _append_checkpoint(job, result)
     return result
 
 
-def _drain(
-    job: ScanJob,
-    result: ScanResult,
-    produced: Iterable[list[dict]],
-    on_rows: Callable[[list[dict]], None] | None,
-) -> None:
-    predict = PREDICTORS.get(job.kind, lambda n: None)
-    for rows in produced:
-        for row in rows:
-            expected = predict(row["N"])
-            if expected is not None and expected != row["verdict"]:
-                result.anomalies.append(
-                    {
-                        "N": row["N"],
-                        "kind": job.kind,
-                        "expected": expected,
-                        "got": row["verdict"],
-                    }
-                )
-        result.rows.extend(rows)
-        result.completed_to = rows[-1]["N"]  # a chunk has one row per N
-        # Rows go out before the record that covers them, so a crash can
-        # repeat a chunk on resume but never skip one.
-        if on_rows is not None:
-            on_rows(rows)
-        if job.checkpoint:
-            _append_checkpoint(job, result)
+def _pooled(chunks: Iterator[tuple[str, range]], workers: int) -> Iterator[list[dict]]:
+    """Chunk results in order from a pool that holds at most 2 * workers
+    chunks: one more is submitted each time one is taken."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        window = deque(pool.submit(_scan_chunk, c) for c in islice(chunks, 2 * workers))
+        try:
+            while window:
+                rows = window.popleft().result()
+                window.extend(pool.submit(_scan_chunk, c) for c in islice(chunks, 1))
+                yield rows
+        except BaseException:  # GeneratorExit too, when the consumer fails
+            # Leaving the with block waits for every chunk still queued;
+            # drop those first, since nothing will read them.
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _append_checkpoint(job: ScanJob, result: ScanResult) -> None:
@@ -336,7 +339,7 @@ def emit_appendix(which: str, *, workers: int = 1) -> list[dict]:
     """Reference tables:
 
     A — quasi-irreducible moduli through 1000, tagged prime /
-        prime_power / two_three;
+        prime_power / two_three / numerical_only;
     B — (N, phi, omega) for every N = 2**a * 3**b <= 1000 with both
         exponents >= 1;
     C — full reducible-k lists for six sample moduli;
@@ -349,28 +352,16 @@ def emit_appendix(which: str, *, workers: int = 1) -> list[dict]:
         raise ValueError("workers must be >= 1")
     if which == "A":
         result = run_scan(ScanJob(kind="quasi", lo=2, hi=1000, workers=workers))
-        table = []
-        for row in result.rows:
-            if not row["verdict"]:
-                continue
-            n = row["N"]
-            pe = prime_power(n)
-            if pe is not None:
-                tag = "prime" if pe[1] == 1 else "prime_power"
-            else:
-                tag = "two_three"
-            table.append({"N": n, "tag": tag})
-        return table
+        return [
+            {"N": row["N"], "tag": quasi_family(row["N"]) or "numerical_only"}
+            for row in result.rows
+            if row["verdict"]
+        ]
     if which == "B":
-        values = sorted(
-            2**a * 3**b
-            for a in range(1, 10)
-            for b in range(1, 7)
-            if 2**a * 3**b <= 1000
-        )
         return [
             {"N": n, "phi": euler_phi(n), "omega": omega_count(ResidueRing(n))}
-            for n in values
+            for n in range(6, 1001, 6)
+            if quasi_family(n) == "two_three"
         ]
     if which == "C":
         table = []

@@ -17,6 +17,7 @@ from monomod.classify import (
     predict_quasi,
     predict_reducible_set_2x3m,
     predict_semi,
+    quasi_family,
     semi_candidates,
     semi_family,
     sizes_table,
@@ -109,6 +110,15 @@ def test_predict_quasi_examples(n, expected):
     assert predict_quasi(n) == expected
 
 
+@pytest.mark.parametrize(
+    "n, family",
+    [(2, "prime"), (49, "prime_power"), (36, "two_three"), (30, None), (10, None)],
+)
+def test_quasi_family_tags(n, family):
+    assert quasi_family(n) == family
+    assert predict_quasi(n) is (family is not None)
+
+
 def test_predictors_reject_tiny_moduli():
     with pytest.raises(ValueError):
         predict_monomial(1)
@@ -119,7 +129,8 @@ def test_predictors_reject_tiny_moduli():
 @pytest.mark.parametrize("n", [0, 1, -4])
 def test_every_closed_form_rejects_moduli_below_two(n):
     # 0 % p == 0 for every p, so an unchecked 0 would strip primes forever
-    for closed_form in (predict_monomial, predict_quasi, predict_semi, semi_family):
+    closed_forms = (predict_monomial, predict_quasi, predict_semi, semi_family, quasi_family)
+    for closed_form in closed_forms:
         with pytest.raises(ValueError, match="modulus must be >= 2"):
             closed_form(n)
 

@@ -185,6 +185,54 @@ def test_consumer_error_cancels_queued_chunks(monkeypatch):
     assert shutdowns == [False]
 
 
+class _SubmitSpy(scan.ProcessPoolExecutor):
+    """A real pool that records every submit and shutdown call."""
+
+    calls: list = []
+
+    def submit(self, fn, *args, **kwargs):
+        self.calls.append("submit")
+        return super().submit(fn, *args, **kwargs)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.calls.append(("shutdown", cancel_futures))
+        super().shutdown(wait, cancel_futures=cancel_futures)
+
+
+def test_pool_holds_at_most_two_chunks_per_worker(monkeypatch):
+    monkeypatch.setattr(_SubmitSpy, "calls", [])
+    seen = []
+
+    def on_rows(rows):
+        seen.append((len(seen), _SubmitSpy.calls.count("submit")))
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", _SubmitSpy)
+    pooled = run_scan(ScanJob("quasi", 2, 2000, chunk=8, workers=2), on_rows=on_rows)
+    assert len(seen) == 250
+    assert all(submitted <= i + 1 + 2 * 2 for i, submitted in seen), seen
+    assert pooled.rows == run_scan(ScanJob("quasi", 2, 2000, chunk=8)).rows
+
+
+def test_consumer_error_stops_a_huge_pooled_scan_at_once(monkeypatch):
+    monkeypatch.setattr(_SubmitSpy, "calls", [])
+
+    class Sentinel(Exception):
+        pass
+
+    def on_rows(rows):
+        raise Sentinel
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", _SubmitSpy)
+    with pytest.raises(Sentinel):
+        run_scan(ScanJob("quasi", 2, 10**12, workers=2), on_rows=on_rows)
+    submits = [c for c in _SubmitSpy.calls if c == "submit"]
+    shutdowns = [c for c in _SubmitSpy.calls if c != "submit"]
+    assert len(submits) <= 5
+    assert shutdowns[0] == ("shutdown", True)
+
+
 def test_pool_is_no_larger_than_the_chunk_count(monkeypatch):
     sizes = []
 
@@ -612,6 +660,21 @@ def test_conjecture_check_reports_a_fast_size_the_walk_disagrees_with(monkeypatc
 )
 def test_semi_family_tags(n, family):
     assert semi_family(n) == family
+
+
+def test_appendix_a_tags_an_unexplained_member_numerical_only(monkeypatch):
+    decide_quasi = classify.DECIDERS["quasi"]
+
+    def ten_is_quasi(ring):
+        verdict = decide_quasi(ring)
+        if ring.modulus != 10:
+            return verdict
+        return classify.ClassVerdict(10, "quasi", True, None, verdict.checked_k)
+
+    monkeypatch.setitem(classify.DECIDERS, "quasi", ten_is_quasi)
+    tags = {row["N"]: row["tag"] for row in emit_appendix("A")}
+    assert tags[10] == "numerical_only"
+    assert (tags[9], tags[11], tags[12]) == ("prime_power", "prime", "two_three")
 
 
 def test_appendix_c_matches_frozen_table():

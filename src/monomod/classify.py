@@ -38,6 +38,7 @@ __all__ = [
     "decide_semi",
     "euler_phi",
     "omega_count",
+    "predict_conjecture",
     "predict_monomial",
     "predict_quasi",
     "predict_reducible_set_2x3m",
@@ -177,6 +178,26 @@ def predict_semi(n: int) -> bool | None:
     if n % 2 == 1:
         return family == "odd_prime_power"
     return True if family is not None else None
+
+
+def predict_conjecture(p: int) -> bool:
+    """Closed form of the prime survey (scan.scan_conjecture): an odd
+    prime p has no nonzero minimal size = 2 mod 4 iff p - 1 or p + 1 is
+    a power of two, i.e. iff p is a Fermat or a Mersenne prime.
+
+    Proof sketch.  Let e be the order of lambda = (k + sqrt(k**2-4))/2;
+    then r = 2 mod 4 iff e = 4 mod 8 (r = e for odd e, e/2 for even e).
+    Every divisor e > 2 of p - 1 or p + 1 is the order of some lambda,
+    in F_p* or in the norm-1 torus of F_{p**2}, with k = lambda +
+    1/lambda != +/-2; k = +/-2 gives r = p, which is odd.  One of p -+ 1
+    is = 2 mod 4 and has no divisor = 4 mod 8.  The other is 2**a * m
+    with a >= 2 and m odd, and it has such a divisor, 4 * d with d > 1
+    odd, iff m > 1; e = 4 itself is lambda**2 = -1, i.e. k = 0, which
+    the survey leaves out.
+    """
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    return any(q & (q - 1) == 0 for q in (p - 1, p + 1))
 
 
 def predict_reducible_set_2x3m(m: int) -> list[int]:

@@ -152,6 +152,32 @@ def _ext_pow(u: int, v: int, e: int, disc: int, p: int) -> tuple[int, int]:
     return ru, rv
 
 
+def _size_is_2_mod_4(p: int, k: int) -> bool:
+    """Is minimal_size_prime_fast(p, k)[0] = 2 (mod 4)?  p must be an
+    odd prime; it is not checked.
+
+    With e the order of lambda (see minimal_size_prime_fast), r = 2 mod 4
+    iff e = 4 mod 8, i.e. iff v2(e) = 2.  Write the group order p -+ 1
+    as 2**a * m with m odd (a < 2 leaves no room for v2(e) = 2); then
+    mu = lambda**m has order 2**v2(e), so v2(e) = 2 iff mu**2 = -1,
+    since lambda lies in a cyclic group (F_p* or the norm-1 torus) whose
+    only element of order 2 is -1.  mu = u + v*theta has norm 1
+    (det M(k) = 1), so 1/mu = u - v*theta, and mu**2 = -1 iff
+    mu = -1/mu iff u = 0.  One power instead of the full order; k = +/-2
+    gives r = p, which is odd.
+    """
+    k %= p
+    disc = (k * k - 4) % p
+    if disc == 0:
+        return False
+    group = p - 1 if pow(disc, (p - 1) // 2, p) == 1 else p + 1
+    a = (group & -group).bit_length() - 1
+    if a < 2:
+        return False
+    inv2 = (p + 1) // 2
+    return _ext_pow(k * inv2 % p, inv2, group >> a, disc, p)[0] == 0
+
+
 def minimal_size_prime_fast(p: int, k: int) -> tuple[int, int]:
     """minimal_size over a prime modulus via the eigenvalue order.
 
@@ -159,7 +185,8 @@ def minimal_size_prime_fast(p: int, k: int) -> tuple[int, int]:
     F_{p**2}.  With e the order of lambda = (k+theta)/2 in
     F_p[theta]/(theta**2-(k**2-4)): r = e and eps = +1 when e is odd,
     r = e/2 and eps = -1 when e is even.  k = +/-2 mod p is the repeated
-    eigenvalue case with r = p.
+    eigenvalue case with r = p.  When only r mod 4 matters, as in the
+    prime survey, _size_is_2_mod_4 answers with one power instead.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

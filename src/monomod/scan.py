@@ -15,7 +15,6 @@ import io
 import json
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import islice
@@ -24,7 +23,12 @@ from typing import Callable, Iterable, Iterator
 from ._numbers import euler_phi, sieve_primes
 from .classify import DECIDERS, PREDICTORS, omega_count, quasi_family, semi_family
 from .modring import ResidueRing
-from .monomial import find_reduction, minimal_size, minimal_size_prime_fast
+from .monomial import (
+    _size_is_2_mod_4,
+    find_reduction,
+    minimal_size,
+    minimal_size_prime_fast,
+)
 
 __all__ = [
     "CheckpointError",
@@ -265,6 +269,10 @@ def run_scan(
 def _pooled(chunks: Iterator[tuple[str, range]], workers: int) -> Iterator[list[dict]]:
     """Chunk results in order from a pool that holds at most 2 * workers
     chunks: one more is submitted each time one is taken."""
+    # Imported here: the pool's modules (multiprocessing, pickle, ...)
+    # would add to the start of every CLI query, and only scans use it.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         window = deque(pool.submit(_scan_chunk, c) for c in islice(chunks, 2 * workers))
         try:
@@ -299,7 +307,9 @@ def _append_checkpoint(job: ScanJob, result: ScanResult) -> None:
 def scan_conjecture(max_prime: int) -> list[int]:
     """Odd primes p <= max_prime whose nonzero minimal sizes all avoid
     2 mod 4; stops scanning a prime at its first k in [1,(p-1)/2] that
-    lands on 2 mod 4."""
+    lands on 2 mod 4.  Each k is tested with monomial._size_is_2_mod_4,
+    one power of the eigenvalue, and the k that eliminates a prime is
+    confirmed with its full size (see scan_conjecture_checked)."""
     primes, _ = scan_conjecture_checked(max_prime, sample_den=0)
     return primes
 
@@ -309,28 +319,35 @@ def scan_conjecture_checked(
 ) -> tuple[list[int], list[dict]]:
     """scan_conjecture plus a deterministic spot check: roughly one in
     sample_den of the examined (p, k) pairs is recomputed with the
-    generic walk, and disagreements are reported (sample_den=0 disables
-    the check)."""
+    generic walk, and a pair is reported when the walk's (r, eps)
+    differs from minimal_size_prime_fast's or its r = 2 mod 4 verdict
+    from _size_is_2_mod_4's (sample_den=0 disables the check).
+
+    Whatever the sample, the k that eliminates a prime is confirmed with
+    minimal_size_prime_fast, and a disagreement raises RuntimeError."""
     if max_prime < 3:
         raise ValueError("max_prime must be >= 3")
     survivors = []
     anomalies: list[dict] = []
-    for p in sieve_primes(max_prime):
-        if p == 2:
-            continue
-        good = True
+    for p in sieve_primes(max_prime)[1:]:  # the odd primes
         for k in range(1, (p - 1) // 2 + 1):
-            r, eps = minimal_size_prime_fast(p, k)
+            hit = _size_is_2_mod_4(p, k)
             if sample_den and (p * 1009 + k * 101) % sample_den == 0:
+                fast = minimal_size_prime_fast(p, k)
                 walked = minimal_size(ResidueRing(p), k)
-                if walked != (r, eps):
+                if walked != fast or hit != (walked[0] % 4 == 2):
                     anomalies.append(
-                        {"p": p, "k": k, "fast": [r, eps], "walk": list(walked)}
+                        {"p": p, "k": k, "fast": list(fast), "walk": list(walked)}
                     )
-            if r % 4 == 2:
-                good = False
+            if hit:
+                r, _ = minimal_size_prime_fast(p, k)
+                if r % 4 != 2:
+                    raise RuntimeError(
+                        f"p={p}, k={k}: the 2-part test says r = 2 mod 4, "
+                        f"but minimal_size_prime_fast gives r={r}"
+                    )
                 break
-        if good:
+        else:
             survivors.append(p)
     return survivors, anomalies
 

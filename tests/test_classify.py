@@ -13,6 +13,7 @@ from monomod.classify import (
     decide_semi,
     euler_phi,
     omega_count,
+    predict_conjecture,
     predict_monomial,
     predict_quasi,
     predict_reducible_set_2x3m,
@@ -117,6 +118,19 @@ def test_predict_quasi_examples(n, expected):
 def test_quasi_family_tags(n, family):
     assert quasi_family(n) == family
     assert predict_quasi(n) is (family is not None)
+
+
+@pytest.mark.parametrize(
+    "p,expected", [(3, True), (5, True), (11, False), (8191, True), (65537, True), (131071, True)]
+)
+def test_predict_conjecture_examples(p, expected):
+    assert predict_conjecture(p) is expected
+
+
+@pytest.mark.parametrize("n", [-3, 0, 1, 2, 9, 15, 65535])
+def test_predict_conjecture_rejects_all_but_odd_primes(n):
+    with pytest.raises(ValueError, match="not an odd prime"):
+        predict_conjecture(n)
 
 
 def test_predictors_reject_tiny_moduli():

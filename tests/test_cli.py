@@ -730,6 +730,21 @@ def test_run_callable_from_fresh_interpreter():
     assert proc.stdout.strip() == "N=6 omega=5"
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only a pooled scan needs multiprocessing, so importing the CLI, as
+    every size/report/reduce query does, must not load it."""
+    probe = (
+        "import sys, monomod.cli\n"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=_env_with_src(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_closed_stdout_pipe_exits_quietly():
     """A reader that leaves early (`monomod ... | head -1`) ends the run
     with 141 = 128 + SIGPIPE and nothing on stderr.  The table is larger

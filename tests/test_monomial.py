@@ -145,6 +145,13 @@ def test_fast_path_equals_walk_for_small_primes():
             assert minimal_size_prime_fast(p, k) == minimal_size(ring, k), (p, k)
 
 
+def test_two_part_test_equals_the_full_size_for_small_primes():
+    for p in sieve_primes(600)[1:]:
+        for k in range(p):
+            want = minimal_size_prime_fast(p, k)[0] % 4 == 2
+            assert monomial._size_is_2_mod_4(p, k) == want, (p, k)
+
+
 def test_find_reduction_examples():
     assert find_reduction(ResidueRing(18), 6) is not None
     assert find_reduction(ResidueRing(30), 8) is None

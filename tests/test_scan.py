@@ -3,6 +3,7 @@ checkpoint/resume, the prime survey, and the reference tables."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import json
 import os
@@ -12,8 +13,9 @@ import pytest
 
 from conftest import load_data
 from monomod import classify, cli, scan
-from monomod.classify import omega_count, predict_quasi, semi_family
+from monomod.classify import omega_count, predict_conjecture, predict_quasi, semi_family
 from monomod.modring import ResidueRing
+from monomod.monomial import minimal_size_prime_fast
 from monomod.scan import (
     CheckpointError,
     ScanJob,
@@ -24,7 +26,7 @@ from monomod.scan import (
     scan_conjecture,
     scan_conjecture_checked,
 )
-from monomod._numbers import euler_phi
+from monomod._numbers import euler_phi, sieve_primes
 
 
 def test_scan_job_validates_fields():
@@ -166,7 +168,7 @@ def test_rows_go_out_before_their_checkpoint_record(tmp_path, workers):
 def test_consumer_error_cancels_queued_chunks(monkeypatch):
     shutdowns = []
 
-    class RecordingPool(scan.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def shutdown(self, wait=True, *, cancel_futures=False):
             shutdowns.append(cancel_futures)
             super().shutdown(wait, cancel_futures=cancel_futures)
@@ -175,7 +177,7 @@ def test_consumer_error_cancels_queued_chunks(monkeypatch):
         raise BrokenPipeError
 
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     with pytest.raises(BrokenPipeError):
         run_scan(ScanJob(kind="quasi", lo=2, hi=400, chunk=4, workers=2), on_rows=on_rows)
     assert shutdowns[0] is True
@@ -185,7 +187,7 @@ def test_consumer_error_cancels_queued_chunks(monkeypatch):
     assert shutdowns == [False]
 
 
-class _SubmitSpy(scan.ProcessPoolExecutor):
+class _SubmitSpy(concurrent.futures.ProcessPoolExecutor):
     """A real pool that records every submit and shutdown call."""
 
     calls: list = []
@@ -207,7 +209,7 @@ def test_pool_holds_at_most_two_chunks_per_worker(monkeypatch):
         seen.append((len(seen), _SubmitSpy.calls.count("submit")))
 
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(scan, "ProcessPoolExecutor", _SubmitSpy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SubmitSpy)
     pooled = run_scan(ScanJob("quasi", 2, 2000, chunk=8, workers=2), on_rows=on_rows)
     assert len(seen) == 250
     assert all(submitted <= i + 1 + 2 * 2 for i, submitted in seen), seen
@@ -224,7 +226,7 @@ def test_consumer_error_stops_a_huge_pooled_scan_at_once(monkeypatch):
         raise Sentinel
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(scan, "ProcessPoolExecutor", _SubmitSpy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SubmitSpy)
     with pytest.raises(Sentinel):
         run_scan(ScanJob("quasi", 2, 10**12, workers=2), on_rows=on_rows)
     submits = [c for c in _SubmitSpy.calls if c == "submit"]
@@ -236,13 +238,13 @@ def test_consumer_error_stops_a_huge_pooled_scan_at_once(monkeypatch):
 def test_pool_is_no_larger_than_the_chunk_count(monkeypatch):
     sizes = []
 
-    class RecordingPool(scan.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     one_chunk = run_scan(ScanJob(kind="quasi", lo=2, hi=20, workers=4))
     assert sizes == []  # a single chunk runs in this process
     two_chunks = run_scan(ScanJob(kind="quasi", lo=2, hi=20, chunk=10, workers=4))
@@ -261,7 +263,7 @@ def test_pool_is_no_larger_than_the_cpu_count(monkeypatch):
         raise Refused  # before any process starts
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(scan, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     with pytest.raises(Refused):
         run_scan(ScanJob("quasi", 2, 5001, chunk=1, workers=5000))
     assert sizes == [2]
@@ -641,6 +643,60 @@ def test_conjecture_check_reports_a_fast_size_the_walk_disagrees_with(monkeypatc
     monkeypatch.setattr(scan, "minimal_size_prime_fast", wrong_at_5_1)
     _, anomalies = scan_conjecture_checked(13, sample_den=1)  # every pair is sampled
     assert anomalies == [{"p": 5, "k": 1, "fast": [4, -1], "walk": [3, -1]}]
+
+
+def test_conjecture_check_reports_a_wrong_two_part_verdict(monkeypatch):
+    test = scan._size_is_2_mod_4
+
+    def wrong_at_11_5(p, k):
+        return False if (p, k) == (11, 5) else test(p, k)
+
+    monkeypatch.setattr(scan, "_size_is_2_mod_4", wrong_at_11_5)
+    # (11, 5) is 11's only k with r = 2 mod 4, so 11 wrongly survives
+    primes, anomalies = scan_conjecture_checked(13, sample_den=1)
+    assert primes == [3, 5, 7, 11]
+    assert anomalies == [{"p": 11, "k": 5, "fast": [6, -1], "walk": [6, -1]}]
+
+
+def test_conjecture_confirms_each_eliminating_k(monkeypatch):
+    fast = scan.minimal_size_prime_fast
+
+    def wrong_at_11_5(p, k):
+        r, eps = fast(p, k)
+        return (r + 1, eps) if (p, k) == (11, 5) else (r, eps)
+
+    monkeypatch.setattr(scan, "minimal_size_prime_fast", wrong_at_11_5)
+    with pytest.raises(RuntimeError, match="p=11, k=5"):
+        scan_conjecture(13)
+
+
+def _conjecture_by_full_sizes(max_prime: int) -> list[int]:
+    """The survey as it was before the 2-part test: the full size of
+    every examined k, from minimal_size_prime_fast."""
+    survivors = []
+    for p in sieve_primes(max_prime):
+        if p == 2:
+            continue
+        good = True
+        for k in range(1, (p - 1) // 2 + 1):
+            r, _ = minimal_size_prime_fast(p, k)
+            if r % 4 == 2:
+                good = False
+                break
+        if good:
+            survivors.append(p)
+    return survivors
+
+
+@pytest.mark.parametrize("n", [3, 4, 16, 17, 256, 257, 1000, 3000])
+def test_conjecture_equals_the_full_size_survey(n):
+    assert scan_conjecture(n) == _conjecture_by_full_sizes(n)
+
+
+@pytest.mark.parametrize("n", [20000, pytest.param(3 * 10**5, marks=pytest.mark.slow)])
+def test_conjecture_equals_its_closed_form(n):
+    odd_primes = sieve_primes(n)[1:]
+    assert scan_conjecture(n) == [p for p in odd_primes if predict_conjecture(p)]
 
 
 @pytest.mark.parametrize(

@@ -1,109 +1,26 @@
 """Minimal monomial solutions of M(a_n)...M(a_1) = +/-Id over Z/NZ:
 sizes, irreducibility with witnesses, modulus classification,
-closed-form certificates, and range scans."""
+closed-form certificates, and range scans.
 
-from .classify import (
-    ClassVerdict,
-    Counterexample,
-    decide_monomial,
-    decide_quasi,
-    decide_semi,
-    euler_phi,
-    omega_count,
-    predict_conjecture,
-    predict_monomial,
-    predict_quasi,
-    predict_reducible_set_2x3m,
-    quasi_family,
-    semi_candidates,
-    semi_family,
-    sizes_table,
-    units_only,
-)
-from .construct import (
-    ConstructedWitness,
-    crt,
-    reducible_k_prop34,
-    witness_lemma41,
-    witness_prop34,
-    witness_prop36,
-    witness_prop51,
-)
+Each module's __all__ is its public surface; the package re-exports
+every one of them."""
+
+from .classify import *
+from .construct import *
 from .core import BACKEND
-from .modring import Mat2, ResidueRing, chain, elementary, identity, monomial_power, pm_id
-from .monomial import (
-    MonomialReport,
-    ReductionWitness,
-    find_reduction,
-    find_reduction_naive,
-    minimal_size,
-    minimal_size_prime_fast,
-    report,
-)
-from .scan import (
-    CheckpointError,
-    ScanJob,
-    ScanResult,
-    checkpoint_resume,
-    emit_appendix,
-    run_scan,
-    scan_conjecture,
-    scan_conjecture_checked,
-)
-from .solutions import ModTuple, bordered_constraint_roots, equivalent, oplus, solution_sign
+from .modring import *
+from .monomial import *
+from .scan import *
+from .solutions import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND",
-    "ClassVerdict",
-    "CheckpointError",
-    "ConstructedWitness",
-    "Counterexample",
-    "Mat2",
-    "ModTuple",
-    "MonomialReport",
-    "ReductionWitness",
-    "ResidueRing",
-    "ScanJob",
-    "ScanResult",
-    "bordered_constraint_roots",
-    "chain",
-    "checkpoint_resume",
-    "crt",
-    "decide_monomial",
-    "decide_quasi",
-    "decide_semi",
-    "elementary",
-    "emit_appendix",
-    "equivalent",
-    "euler_phi",
-    "find_reduction",
-    "find_reduction_naive",
-    "identity",
-    "minimal_size",
-    "minimal_size_prime_fast",
-    "monomial_power",
-    "omega_count",
-    "oplus",
-    "pm_id",
-    "predict_conjecture",
-    "predict_monomial",
-    "predict_quasi",
-    "predict_reducible_set_2x3m",
-    "quasi_family",
-    "reducible_k_prop34",
-    "report",
-    "run_scan",
-    "scan_conjecture",
-    "scan_conjecture_checked",
-    "semi_candidates",
-    "semi_family",
-    "sizes_table",
-    "solution_sign",
-    "units_only",
-    "witness_lemma41",
-    "witness_prop34",
-    "witness_prop36",
-    "witness_prop51",
-]
+__all__ = (
+    classify.__all__
+    + construct.__all__
+    + modring.__all__
+    + monomial.__all__
+    + scan.__all__
+    + solutions.__all__
+    + ["BACKEND"]
+)

@@ -22,11 +22,7 @@ from typing import Callable, Iterable
 
 from ._numbers import euler_phi, is_prime, prime_power
 from .modring import ResidueRing
-from .monomial import (
-    ReductionWitness,
-    find_reduction,
-    minimal_size_prime_fast,
-)
+from .monomial import ReductionWitness, _prime_size, find_reduction
 
 __all__ = [
     "DECIDERS",
@@ -248,6 +244,5 @@ def sizes_table(p: int) -> list[tuple[int, int]]:
     k and -k always share a size, so half the range is the whole story."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return [
-        (k, minimal_size_prime_fast(p, k)[0]) for k in range(1, (p - 1) // 2 + 1)
-    ]
+    factors: dict[int, dict[int, int]] = {}  # p -+ 1 factored once for all rows
+    return [(k, _prime_size(p, k, factors)[0]) for k in range(1, (p - 1) // 2 + 1)]

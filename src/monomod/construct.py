@@ -15,7 +15,7 @@ from math import gcd
 from ._numbers import crt as _crt_pairs
 from ._numbers import egcd, factorize, inv_mod, is_prime
 from .modring import ResidueRing
-from .monomial import find_reduction, minimal_size
+from .monomial import minimal_size, report
 from .solutions import ModTuple, solution_sign
 
 __all__ = [
@@ -172,8 +172,8 @@ def witness_prop34(n: int) -> ConstructedWitness | None:
     if k is None:
         return None
     ring = ResidueRing(n)
-    witness = find_reduction(ring, k)
-    if witness is None:
+    rep = report(ring, k)  # one walk gives both the size and the witness
+    if rep.witness is None:
         raise RuntimeError(f"expected k={k} to be reducible mod {n}")
-    size, _ = minimal_size(ring, k)
-    return ConstructedWitness(n, k, size, _bordered(ring, witness.x, k, witness.length), "prop34")
+    reducer = _bordered(ring, rep.witness.x, k, rep.witness.length)
+    return ConstructedWitness(n, k, rep.size, reducer, "prop34")

@@ -12,6 +12,16 @@ from functools import cached_property
 
 from ._numbers import factorize, inv_mod
 
+__all__ = [
+    "Mat2",
+    "ResidueRing",
+    "chain",
+    "elementary",
+    "identity",
+    "monomial_power",
+    "pm_id",
+]
+
 
 @dataclass(frozen=True)
 class ResidueRing:

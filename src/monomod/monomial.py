@@ -19,6 +19,16 @@ from ._numbers import factorize, is_prime
 from .modring import ResidueRing
 from .solutions import bordered_constraint_roots, bordered_root_count
 
+__all__ = [
+    "MonomialReport",
+    "ReductionWitness",
+    "find_reduction",
+    "find_reduction_naive",
+    "minimal_size",
+    "minimal_size_prime_fast",
+    "report",
+]
+
 
 @dataclass(frozen=True)
 class ReductionWitness:
@@ -190,6 +200,14 @@ def minimal_size_prime_fast(p: int, k: int) -> tuple[int, int]:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _prime_size(p, k, {})
+
+
+def _prime_size(p: int, k: int, factors: dict[int, dict[int, int]]) -> tuple[int, int]:
+    """minimal_size_prime_fast(p, k) for a prime p, which is not checked.
+    factors maps each of p -+ 1 already factored to its factorization
+    and gains the one this k needs, so a table of sizes over one prime
+    that passes the same dict for every k factors each at most once."""
     k %= p
     if p == 2:
         return minimal_size(ResidueRing(2), k)
@@ -199,10 +217,12 @@ def minimal_size_prime_fast(p: int, k: int) -> tuple[int, int]:
     # Euler's criterion: split => lambda in F_p* of order dividing p-1;
     # inert => lambda has norm 1, order dividing p+1.
     group = p - 1 if pow(disc, (p - 1) // 2, p) == 1 else p + 1
+    if group not in factors:
+        factors[group] = factorize(group)
     inv2 = (p + 1) // 2
     lu, lv = k * inv2 % p, inv2
     e = group
-    for q in factorize(group):
+    for q in factors[group]:
         while e % q == 0 and _ext_pow(lu, lv, e // q, disc, p) == (1, 0):
             e //= q
     if e % 2 == 1:

@@ -36,7 +36,6 @@ __all__ = [
     "ScanResult",
     "checkpoint_resume",
     "emit_appendix",
-    "rows_to_csv",
     "run_scan",
     "scan_conjecture",
     "scan_conjecture_checked",
@@ -69,6 +68,11 @@ class ScanJob:
     def __post_init__(self) -> None:
         if self.kind not in SCAN_KINDS:
             raise ValueError(f"unknown scan kind {self.kind!r}")
+        for name in ("lo", "hi", "chunk", "workers"):
+            if type(getattr(self, name)) is not int:  # True is a bool, not the int 1
+                raise ValueError(f"{name} must be an integer")
+        if not isinstance(self.include_odd, bool):
+            raise ValueError("include_odd must be a boolean")
         if self.lo < 2:
             raise ValueError("lo must be >= 2")
         if self.hi < self.lo:
@@ -160,18 +164,9 @@ def _recorded_job(record: object, path: str) -> ScanJob:
     fields = {"chunk": ScanJob.chunk, **record}
     if fields["job"] not in SCAN_KINDS:
         raise ValueError(f"field 'job' is not one of {', '.join(SCAN_KINDS)}")
-    for key in ("lo", "hi", "completed_to", "chunk"):
-        if type(fields[key]) is not int:  # JSON true is a bool, not the int 1
-            raise ValueError(f"field {key!r} is not an integer")
-    if not fields["lo"] - 1 <= fields["completed_to"] <= fields["hi"]:
-        raise ValueError("field 'completed_to' is outside [lo - 1, hi]")
-    if not isinstance(fields["include_odd"], bool):
-        raise ValueError("field 'include_odd' is not a boolean")
-    anomalies = fields["anomalies"]
-    if not isinstance(anomalies, list) or not all(isinstance(a, dict) for a in anomalies):
-        raise ValueError("field 'anomalies' is not a list of objects")
-    # ScanJob itself rejects lo < 2, hi < lo and chunk < 1.
-    return ScanJob(
+    # ScanJob itself rejects a mistyped lo, hi, chunk or include_odd, and
+    # lo < 2, hi < lo and chunk < 1, naming the field.
+    job = ScanJob(
         kind=fields["job"],
         lo=fields["lo"],
         hi=fields["hi"],
@@ -179,6 +174,14 @@ def _recorded_job(record: object, path: str) -> ScanJob:
         include_odd=fields["include_odd"],
         checkpoint=path,
     )
+    if type(fields["completed_to"]) is not int:
+        raise ValueError("field 'completed_to' is not an integer")
+    if not job.lo - 1 <= fields["completed_to"] <= job.hi:
+        raise ValueError("field 'completed_to' is outside [lo - 1, hi]")
+    anomalies = fields["anomalies"]
+    if not isinstance(anomalies, list) or not all(isinstance(a, dict) for a in anomalies):
+        raise ValueError("field 'anomalies' is not a list of objects")
+    return job
 
 
 def checkpoint_resume(path: str) -> ScanJob:

@@ -7,6 +7,14 @@ from dataclasses import dataclass
 
 from .modring import ResidueRing, chain, pm_id
 
+__all__ = [
+    "ModTuple",
+    "bordered_constraint_roots",
+    "equivalent",
+    "oplus",
+    "solution_sign",
+]
+
 
 @dataclass(frozen=True)
 class ModTuple:

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from monomod import classify, monomial
 from monomod.classify import (
     decide_monomial,
     decide_quasi,
@@ -25,7 +26,7 @@ from monomod.classify import (
     units_only,
 )
 from monomod.modring import ResidueRing
-from monomod.monomial import find_reduction
+from monomod.monomial import find_reduction, minimal_size_prime_fast
 
 
 def test_decide_monomial_examples():
@@ -178,6 +179,28 @@ def test_sizes_table_examples():
     assert dict(sizes_table(127))[24] == 7
     with pytest.raises(ValueError):
         sizes_table(15)
+
+
+@pytest.mark.parametrize("p", [3, 17, 31, 1009])
+def test_sizes_table_tests_and_factors_once(monkeypatch, p):
+    calls = {"is_prime": 0, "factorize": 0}
+
+    def spy(name, fn):
+        def counted(n):
+            calls[name] += 1
+            return fn(n)
+
+        return counted
+
+    for module in (classify, monomial):
+        monkeypatch.setattr(module, "is_prime", spy("is_prime", module.is_prime))
+    monkeypatch.setattr(monomial, "factorize", spy("factorize", monomial.factorize))
+    table = sizes_table(p)
+    assert len(table) == (p - 1) // 2
+    assert calls["is_prime"] == 1
+    assert calls["factorize"] <= 2
+    monkeypatch.undo()
+    assert table == [(k, minimal_size_prime_fast(p, k)[0]) for k, _ in table]
 
 
 def test_euler_phi_examples():

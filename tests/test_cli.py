@@ -8,6 +8,7 @@ import importlib
 import json
 import os
 import pkgutil
+import shlex
 import shutil
 import subprocess
 import sys
@@ -673,6 +674,61 @@ def test_api_surface_lists_only_names_that_exist(capsys):
     assert tuple(which.choices) == scan.APPENDICES
     assert run(["--help"]) == 0
     assert "MONOMOD_MAX_WORKERS" not in capsys.readouterr().out
+
+
+def test_package_reexports_every_module_surface():
+    """Each module's __all__ is its public surface, and the package
+    re-exports every name in it as the same object."""
+    for info in pkgutil.iter_modules(monomod.__path__):
+        module = importlib.import_module(f"monomod.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert name in monomod.__all__, f"{module.__name__}.{name}"
+            assert getattr(monomod, name) is getattr(module, name), name
+
+
+def _readme_examples() -> list:
+    """Each `$ monomod ...` example in the README, as the argv after
+    `monomod` and the output lines shown under it.  A command may
+    continue over lines ending in a backslash; output stops at a blank
+    line or the fence, and lines that are comments (`# ...`) annotate it."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = []
+    lines = iter(readme.read_text(encoding="utf-8").splitlines())
+    for line in lines:
+        if not line.startswith("$ monomod "):
+            continue
+        command = line[2:]
+        while command.endswith("\\"):
+            command = command[:-1] + next(lines).strip()
+        output = []
+        for line in lines:
+            if line.strip() in ("", "```"):
+                break
+            if not line.strip().startswith("#"):
+                output.append(line)
+        argv = shlex.split(command, comments=True)[1:]
+        examples.append(pytest.param(argv, output, id=" ".join(argv)))
+    return examples
+
+
+@pytest.mark.parametrize(
+    "argv,output",
+    [example for example in _readme_examples() if example.values[1]],  # shown with output
+)
+def test_readme_example_prints_what_it_shows(capsys, argv, output):
+    """The README's examples, run in-process: JSON compares parsed,
+    since the README wraps it, and text compares line by line up to a
+    `...` line, which stands for the rest of the output."""
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    if "--format" in argv and argv[argv.index("--format") + 1] == "json":
+        assert json.loads(printed) == json.loads(" ".join(output))
+        return
+    printed_lines = printed.splitlines()
+    if "..." in output:
+        output = output[: output.index("...")]
+        printed_lines = printed_lines[: len(output)]
+    assert printed_lines == output
 
 
 def _env_with_src() -> dict[str, str]:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import gcd
 
 import pytest
 
 from monomod.classify import decide_quasi
-from monomod import construct
+from monomod import construct, core
 from monomod.construct import (
     crt,
     reducible_k_prop34,
@@ -17,7 +18,7 @@ from monomod.construct import (
     witness_prop51,
 )
 from monomod.modring import ResidueRing
-from monomod.monomial import minimal_size
+from monomod.monomial import minimal_size, report
 from monomod.solutions import ModTuple, solution_sign
 
 
@@ -128,9 +129,29 @@ def test_constructed_prop34_certificates_verify():
 
 
 def test_prop34_raises_when_its_residue_is_not_reducible(monkeypatch):
-    monkeypatch.setattr(construct, "find_reduction", lambda ring, k: None)
+    def no_witness(ring, k):
+        return replace(report(ring, k), irreducible=True, witness=None)
+
+    monkeypatch.setattr(construct, "report", no_witness)
     with pytest.raises(RuntimeError, match="k=15"):
         witness_prop34(45)
+
+
+def test_prop34_walks_once(monkeypatch):
+    walks = []
+    for name in ("order_pm", "order_and_reduction"):
+
+        def counted(*args, _walk=getattr(core, name), **kwargs):
+            walks.append(args)
+            return _walk(*args, **kwargs)
+
+        monkeypatch.setattr(core, name, counted)
+    for n in (16, 45, 48, 50, 63, 80, 96, 99):
+        walks.clear()
+        cw = witness_prop34(n)
+        assert len(walks) == 1, n
+        assert cw.verify(), n  # verify re-derives the size with its own walk
+        assert len(walks) == 2, n
 
 
 def test_verify_rejects_tampered_certificates():

@@ -44,6 +44,27 @@ def test_scan_job_validates_fields():
         ScanJob(kind="appendixA", lo=2, hi=10)  # a table, not a range scan
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("lo", True),
+        ("lo", 2.0),
+        ("hi", "10"),
+        ("chunk", True),
+        ("chunk", 8.0),
+        ("workers", True),
+        ("include_odd", 1),
+        ("include_odd", "yes"),
+    ],
+)
+def test_scan_job_rejects_mistyped_fields(field, value):
+    """A mistyped field is refused when the job is made, not written into
+    a checkpoint that the same job could then not resume from."""
+    fields = {"kind": "semi", "lo": 4, "hi": 40, "chunk": 8}
+    with pytest.raises(ValueError, match=f"^{field} must be an? "):
+        ScanJob(**{**fields, field: value})
+
+
 def test_run_scan_rejects_non_range_kinds():
     with pytest.raises(ValueError):
         run_scan(ScanJob(kind="conjecture", lo=2, hi=10))

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .classify import DECIDERS, omega_count, sizes_table
 from .construct import witness_lemma41, witness_prop34, witness_prop36, witness_prop51
@@ -32,6 +32,16 @@ from .scan import (
     scan_conjecture,
 )
 from .solutions import solution_sign
+
+
+class _UsageError(Exception):
+    """A parse error, raised by the parser instead of printing usage and
+    exiting, so that run() can report it as JSON when argv asks for json."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(self, message)
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -53,7 +63,7 @@ _WITNESSES = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monomod",
         description="Minimal monomial solutions of 2x2 modular matrix"
         " equations: sizes, irreducibility, witnesses, and range scans.",
@@ -306,9 +316,17 @@ def _fail(args, message: str, code: int = 2) -> int:
 
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except _UsageError as exc:
+        where, message = exc.args
+        if "--format=json" in argv or ("--format", "json") in zip(argv, argv[1:]):
+            return _fail(argparse.Namespace(format="json"), message)
+        where.print_usage(sys.stderr)
+        print(f"{where.prog}: error: {message}", file=sys.stderr)
+        return 2
+    except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code = _COMMANDS[args.command](args)

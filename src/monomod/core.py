@@ -1,8 +1,10 @@
-"""The compute kernel: two walks over powers of M = [[k,-1],[1,0]] mod N.
+"""The compute kernel: two walks and one power of M = [[k,-1],[1,0]] mod N,
+all on one state.
 
 order_pm stops when a power hits +/-Id, and order_and_reduction also
 spots the first power equal to a bordered target s*(M(x)**-1)**2.
-Both use Python integers, so they are exact for every N.
+power_pm jumps straight to one power by repeated squaring.  All use
+Python integers, so they are exact for every N.
 
 The walk keeps one sequence.  With a_{-1} = 0, a_0 = 1 and
 a_t = k*a_{t-1} - a_{t-2},
@@ -10,7 +12,8 @@ a_t = k*a_{t-1} - a_{t-2},
     M**t = [[a_t, -a_{t-1}], [a_{t-1}, a_t - k*a_{t-1}]],
 
 so the state is (a, c) = (a_t, a_{t-1}) and each step costs one modular
-multiplication.  M**t = +/-Id exactly when c = 0 and a = +/-1.
+multiplication.  M**t = +/-Id exactly when c = 0 and a = +/-1.  Squaring
+M**t gives the state (a*a - c*c, c*(2*a - k*c)) of M**(2t).
 
 For the reduction search, (M(x)**-1)**2 = [[-1, x], [-x, x*x - 1]], and
 M**t = s*(M(x)**-1)**2 compares four entries.  The top-left one gives
@@ -65,6 +68,23 @@ def order_pm(N: int, k: int, cap: int) -> tuple[int, int]:
             raise RuntimeError(CAP_MESSAGE)
         a, c = (k * a - c) % N, a
         t += 1
+
+
+def power_pm(N: int, k: int, t: int) -> int:
+    """+1 or -1 when [[k,-1],[1,0]]**t = +/-Id mod N, else 0; t >= 0.
+
+    Binary powering on the walks' state: per bit of t, one squaring and,
+    for a 1 bit, one step of the walk.  N = 2 reads +1, as the walks do.
+    """
+    k %= N
+    a, c = 1, 0
+    for bit in bin(t)[2:]:
+        a, c = (a * a - c * c) % N, c * (2 * a - k * c) % N
+        if bit == "1":
+            a, c = (k * a - c) % N, a
+    if c or a not in (1, N - 1):
+        return 0
+    return 1 if a == 1 else -1
 
 
 def order_and_reduction(

@@ -151,52 +151,41 @@ def report(ring: ResidueRing, k: int) -> MonomialReport:
     return MonomialReport(n, k, r, eps, witness is None, witness)
 
 
-def _ext_pow(u: int, v: int, e: int, disc: int, p: int) -> tuple[int, int]:
-    """(u + v*theta)**e in F_p[theta]/(theta**2 - disc)."""
-    ru, rv = 1, 0
-    while e:
-        if e & 1:
-            ru, rv = (ru * u + rv * v % p * disc) % p, (ru * v + rv * u) % p
-        u, v = (u * u + v * v % p * disc) % p, 2 * u * v % p
-        e >>= 1
-    return ru, rv
+def _multiple(p: int, k: int) -> int:
+    """A multiple g of the order of M(k) in SL_2(F_p), for k not +/-2
+    mod an odd p.  |SL_2(F_2)| = 6.  For odd p the eigenvalues
+    (k +/- sqrt(k*k-4))/2 are distinct and, by Euler's criterion, lie in
+    F_p* (order p - 1) or in the norm-1 torus of F_{p**2} (order p + 1)."""
+    if p == 2:
+        return 6
+    return p - 1 if pow(k * k - 4, (p - 1) // 2, p) == 1 else p + 1
 
 
 def _size_is_2_mod_4(p: int, k: int) -> bool:
     """Is minimal_size_prime_fast(p, k)[0] = 2 (mod 4)?  p must be an
     odd prime; it is not checked.
 
-    With e the order of lambda (see minimal_size_prime_fast), r = 2 mod 4
-    iff e = 4 mod 8, i.e. iff v2(e) = 2.  Write the group order p -+ 1
-    as 2**a * m with m odd (a < 2 leaves no room for v2(e) = 2); then
-    mu = lambda**m has order 2**v2(e), so v2(e) = 2 iff mu**2 = -1,
-    since lambda lies in a cyclic group (F_p* or the norm-1 torus) whose
-    only element of order 2 is -1.  mu = u + v*theta has norm 1
-    (det M(k) = 1), so 1/mu = u - v*theta, and mu**2 = -1 iff
-    mu = -1/mu iff u = 0.  One power instead of the full order; k = +/-2
-    gives r = p, which is odd.
+    Over F_p a determinant-1 matrix whose square is Id is +/-Id, so an
+    even r has eps = -1, and r = 2 mod 4 iff M(k) has order 4d, d odd, in
+    SL_2(F_p).  With g = 2**a * m (see _multiple), m odd, that holds iff
+    a >= 2 and M(k)**(2m) = -Id: the order divides 4m but not 2m.  One
+    power instead of the full order; k = +/-2 gives r = p, which is odd.
     """
     k %= p
-    disc = (k * k - 4) % p
-    if disc == 0:
+    if k in (2, p - 2):
         return False
-    group = p - 1 if pow(disc, (p - 1) // 2, p) == 1 else p + 1
-    a = (group & -group).bit_length() - 1
-    if a < 2:
-        return False
-    inv2 = (p + 1) // 2
-    return _ext_pow(k * inv2 % p, inv2, group >> a, disc, p)[0] == 0
+    g = _multiple(p, k)
+    return g % 4 == 0 and core.power_pm(p, k, 2 * g // (g & -g)) == -1
 
 
 def minimal_size_prime_fast(p: int, k: int) -> tuple[int, int]:
-    """minimal_size over a prime modulus via the eigenvalue order.
+    """minimal_size over a prime modulus, from a few powers of M(k).
 
-    The eigenvalues of M(k) are (k +/- sqrt(k**2-4))/2, living in F_p or
-    F_{p**2}.  With e the order of lambda = (k+theta)/2 in
-    F_p[theta]/(theta**2-(k**2-4)): r = e and eps = +1 when e is odd,
-    r = e/2 and eps = -1 when e is even.  k = +/-2 mod p is the repeated
-    eigenvalue case with r = p.  When only r mod 4 matters, as in the
-    prime survey, _size_is_2_mod_4 answers with one power instead.
+    The t with M(k)**t = +/-Id are the multiples of r, so r comes from a
+    multiple (see _multiple) by dividing out one prime at a time while
+    the power stays +/-Id, one core.power_pm each; no walk runs.  k = +/-2
+    mod an odd p gives r = p.  When only r mod 4 matters, as in the prime
+    survey, _size_is_2_mod_4 answers with one power.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -205,26 +194,17 @@ def minimal_size_prime_fast(p: int, k: int) -> tuple[int, int]:
 
 def _prime_size(p: int, k: int, factors: dict[int, dict[int, int]]) -> tuple[int, int]:
     """minimal_size_prime_fast(p, k) for a prime p, which is not checked.
-    factors maps each of p -+ 1 already factored to its factorization
-    and gains the one this k needs, so a table of sizes over one prime
-    that passes the same dict for every k factors each at most once."""
+    factors maps each multiple already factored to its factorization and
+    gains the one this k needs, so a table of sizes over one prime that
+    passes the same dict for every k factors each of p -+ 1 at most once."""
     k %= p
-    if p == 2:
-        return minimal_size(ResidueRing(2), k)
-    disc = (k * k - 4) % p
-    if disc == 0:
+    if p > 2 and k in (2, p - 2):
         return (p, 1) if k == 2 else (p, -1)
-    # Euler's criterion: split => lambda in F_p* of order dividing p-1;
-    # inert => lambda has norm 1, order dividing p+1.
-    group = p - 1 if pow(disc, (p - 1) // 2, p) == 1 else p + 1
-    if group not in factors:
-        factors[group] = factorize(group)
-    inv2 = (p + 1) // 2
-    lu, lv = k * inv2 % p, inv2
-    e = group
-    for q in factors[group]:
-        while e % q == 0 and _ext_pow(lu, lv, e // q, disc, p) == (1, 0):
-            e //= q
-    if e % 2 == 1:
-        return e, 1
-    return e // 2, -1
+    g = _multiple(p, k)
+    if g not in factors:
+        factors[g] = factorize(g)
+    r, eps = g, 1  # M(k)**g = Id
+    for q in factors[g]:
+        while r % q == 0 and (s := core.power_pm(p, k, r // q)):
+            r, eps = r // q, s
+    return r, eps

@@ -60,7 +60,7 @@ class ScanJob:
     lo: int
     hi: int
     chunk: int = 64
-    checkpoint: str | None = None
+    checkpoint: str | os.PathLike[str] | None = None
     workers: int = 1
     include_odd: bool = False  # semi scans skip odd N unless set
     fsync: bool = False
@@ -71,8 +71,14 @@ class ScanJob:
         for name in ("lo", "hi", "chunk", "workers"):
             if type(getattr(self, name)) is not int:  # True is a bool, not the int 1
                 raise ValueError(f"{name} must be an integer")
-        if not isinstance(self.include_odd, bool):
-            raise ValueError("include_odd must be a boolean")
+        for name in ("include_odd", "fsync"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a boolean")
+        # an int would be read as a file descriptor, and "" as no checkpoint
+        if self.checkpoint is not None and not (
+            isinstance(self.checkpoint, (str, os.PathLike)) and os.fspath(self.checkpoint)
+        ):
+            raise ValueError("checkpoint must be a non-empty path or None")
         if self.lo < 2:
             raise ValueError("lo must be >= 2")
         if self.hi < self.lo:
@@ -210,8 +216,11 @@ def run_scan(
     soon as the first chunk is done, whatever the range; one worker
     runs in this process.
     """
-    if max_chunks is not None and max_chunks < 0:
-        raise ValueError("max_chunks must be >= 0")
+    if max_chunks is not None:
+        if type(max_chunks) is not int:
+            raise ValueError("max_chunks must be an integer or None")
+        if max_chunks < 0:
+            raise ValueError("max_chunks must be >= 0")
     start = job.lo
     anomalies: list[dict] = []
     completed = job.lo - 1
@@ -311,7 +320,7 @@ def scan_conjecture(max_prime: int) -> list[int]:
     """Odd primes p <= max_prime whose nonzero minimal sizes all avoid
     2 mod 4; stops scanning a prime at its first k in [1,(p-1)/2] that
     lands on 2 mod 4.  Each k is tested with monomial._size_is_2_mod_4,
-    one power of the eigenvalue, and the k that eliminates a prime is
+    one power of M(k), and the k that eliminates a prime is
     confirmed with its full size (see scan_conjecture_checked)."""
     primes, _ = scan_conjecture_checked(max_prime, sample_den=0)
     return primes

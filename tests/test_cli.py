@@ -270,7 +270,10 @@ _USAGE = (
 _COPRIME = "error: factors must be coprime\n"
 # (exit code, stdout, stderr) of runs that fail.
 _PINNED_ERRORS = {
-    **{("size 17", fmt): (2, "", _USAGE) for fmt in ("text", "json", "csv")},
+    **{("size 17", fmt): (2, "", _USAGE) for fmt in ("text", "csv")},
+    ("size 17", "json"): (
+        2, '{"error": {"message": "the following arguments are required: k", "code": 2}}\n', ""
+    ),
     ("witness prop36 4 6", "text"): (2, "", _COPRIME),
     ("witness prop36 4 6", "json"): (
         2, '{"error": {"message": "factors must be coprime", "code": 2}}\n', ""
@@ -594,6 +597,36 @@ def test_scan_negative_max_chunks_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "max_chunks" in captured.err
+
+
+def test_scan_empty_checkpoint_is_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["scan", "--kind", "quasi", "--from", "2", "--to", "10", "--checkpoint", ""]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: checkpoint must be a non-empty path or None\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "classify 10 --kind alien --format json",
+        "classify 10 --kind alien --format=json",
+        "--format json size 17",
+        "size 17 x --format json",
+        "bogus --format json",
+    ],
+)
+def test_usage_error_in_json_mode_is_one_json_object(capsys, argv):
+    assert run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    obj = json.loads(captured.out)
+    assert obj["error"]["code"] == 2
+    assert set(obj["error"]) == {"message", "code"}
+    assert captured.out.count("\n") == 1
 
 
 def test_scan_resume_via_cli(capsys, tmp_path):

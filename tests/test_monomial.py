@@ -1,5 +1,5 @@
 """Minimal monomial solutions: sizes, signs, witnesses, and the two
-independent search paths (generic walk vs eigenvalue order, constrained
+independent search paths (generic walk vs powers of M(k), constrained
 search vs full scan)."""
 
 from __future__ import annotations
@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from monomod import core, monomial
@@ -150,6 +151,49 @@ def test_two_part_test_equals_the_full_size_for_small_primes():
         for k in range(p):
             want = minimal_size_prime_fast(p, k)[0] % 4 == 2
             assert monomial._size_is_2_mod_4(p, k) == want, (p, k)
+
+
+def test_power_pm_equals_matrix_powers_exhaustively():
+    for n in range(2, 60):
+        ring = ResidueRing(n)
+        for k in range(n):
+            for t in range(40):
+                want = pm_id(monomial_power(ring, k, t)) or 0
+                assert core.power_pm(n, k, t) == want, (n, k, t)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(17, 6), (31, 12), (2, 1), (60, 7), (10**9 + 7, 5), (2**61 - 1, 3)]
+)
+def test_power_pm_equals_matrix_powers_for_huge_exponents(n, k):
+    ring = ResidueRing(n)
+    for t in (10**18 - 1, 10**18, 10**18 + 1, 2 * 3**37, 4 * 5**25, 2**60):
+        assert core.power_pm(n, k, t) == (pm_id(monomial_power(ring, k, t)) or 0), t
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 5, 123456789, 10**9 + 5, 10**9 + 6])
+def test_prime_fast_path_on_a_large_prime_against_matrix_powers(k):
+    """(r, eps) for p = 10**9 + 7, checked with Mat2 powers only:
+    M**r = eps*Id, and M**(r/q) is not +/-Id for any prime q | r."""
+    p = 10**9 + 7
+    ring = ResidueRing(p)
+    r, eps = minimal_size_prime_fast(p, k)
+    assert pm_id(monomial_power(ring, k, r)) == eps
+    for q in sympy.factorint(r):
+        assert pm_id(monomial_power(ring, k, r // q)) is None, q
+
+
+def test_prime_fast_path_never_walks(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"walked with {args}")
+
+    monkeypatch.setattr(core, "order_pm", refuse)
+    monkeypatch.setattr(core, "order_and_reduction", refuse)
+    for p in (2, 3, 5, 17, 1009):
+        for k in range(p):
+            minimal_size_prime_fast(p, k)
+            if p > 2:
+                monomial._size_is_2_mod_4(p, k)
 
 
 def test_find_reduction_examples():

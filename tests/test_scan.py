@@ -55,6 +55,11 @@ def test_scan_job_validates_fields():
         ("workers", True),
         ("include_odd", 1),
         ("include_odd", "yes"),
+        ("checkpoint", 1),
+        ("checkpoint", ""),
+        ("checkpoint", b"scan.ckpt"),
+        ("fsync", "no"),
+        ("fsync", 1),
     ],
 )
 def test_scan_job_rejects_mistyped_fields(field, value):
@@ -63,6 +68,21 @@ def test_scan_job_rejects_mistyped_fields(field, value):
     fields = {"kind": "semi", "lo": 4, "hi": 40, "chunk": 8}
     with pytest.raises(ValueError, match=f"^{field} must be an? "):
         ScanJob(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("max_chunks", [True, 1.0, "2"])
+def test_run_scan_rejects_mistyped_max_chunks(max_chunks):
+    with pytest.raises(ValueError, match="^max_chunks must be an integer"):
+        run_scan(ScanJob(kind="quasi", lo=2, hi=10), max_chunks=max_chunks)
+
+
+def test_checkpoint_may_be_a_path_object(tmp_path):
+    path = tmp_path / "scan.ckpt"
+    result = run_scan(ScanJob(kind="quasi", lo=2, hi=10, chunk=4, checkpoint=path))
+    assert result.completed_to == 10
+    assert checkpoint_resume(str(path)) == ScanJob(
+        kind="quasi", lo=2, hi=10, chunk=4, checkpoint=str(path)
+    )
 
 
 def test_run_scan_rejects_non_range_kinds():

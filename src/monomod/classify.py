@@ -12,6 +12,15 @@ Three nested families over N >= 2:
 Deciders walk their candidate list in ascending order and stop at the
 first reducible k; predictors give the closed-form characterizations
 the deciders are checked against.
+
+The mirror k -> N - k halves every decision.  With D = diag(1, -1),
+M(-k) = -D M(k) D, so M(-k)**t = (-1)**t D M(k)**t D: the two residues
+have the same size r, and the signs satisfy eps(-k) = (-1)**r eps(k).
+Likewise (x, k, ..., k, x) of length l solves with sign s iff
+(-x, -k, ..., -k, -x) solves with sign (-1)**l s, so k and N - k are
+reducible together.  All three candidate sets are closed under
+k -> N - k, so the first reducible candidate in ascending order is at
+most N/2: deciders and counts call find_reduction only for 2k <= N.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ __all__ = [
     "predict_reducible_set_2x3m",
     "predict_semi",
     "quasi_family",
+    "reducible_set",
     "semi_candidates",
     "semi_family",
     "sizes_table",
@@ -64,8 +74,9 @@ class Counterexample:
 @dataclass(frozen=True)
 class ClassVerdict:
     """Outcome of one irreducibility class decision for one modulus.
-    checked_k lists the candidates examined, in order, including the
-    failing one when the verdict is negative."""
+    checked_k lists the candidates decided, in order, those above N/2 by
+    the mirror (see the module docstring), including the failing one
+    when the verdict is negative."""
 
     modulus: int
     kind: str  # a key of DECIDERS
@@ -75,15 +86,19 @@ class ClassVerdict:
 
 
 def _decide(ring: ResidueRing, kind: str, candidates: Iterable[int]) -> ClassVerdict:
+    """candidates ascend and are closed under k -> N - k."""
+    n = ring.modulus
     checked: list[int] = []
     for k in candidates:
         checked.append(k)
+        if 2 * k > n:
+            continue  # decided by its mirror N - k, found irreducible
         witness = find_reduction(ring, k)
         if witness is not None:
             return ClassVerdict(
-                ring.modulus, kind, False, Counterexample(k, witness), tuple(checked)
+                n, kind, False, Counterexample(k, witness), tuple(checked)
             )
-    return ClassVerdict(ring.modulus, kind, True, None, tuple(checked))
+    return ClassVerdict(n, kind, True, None, tuple(checked))
 
 
 def decide_monomial(ring: ResidueRing) -> ClassVerdict:
@@ -222,21 +237,25 @@ PREDICTORS: dict[str, Callable[[int], bool | None]] = {
 }
 
 
+def reducible_set(ring: ResidueRing) -> list[int]:
+    """Ascending k in [1, N) whose minimal solution is reducible.
+    find_reduction runs on k <= N/2 only; N - k shares k's verdict (see
+    the module docstring)."""
+    n = ring.modulus
+    low = [k for k in range(1, n // 2 + 1) if find_reduction(ring, k) is not None]
+    return sorted({m for k in low for m in (k, n - k)})
+
+
 def omega_count(ring: ResidueRing) -> int:
     """Number of k in [1, N) whose minimal solution is irreducible."""
-    return sum(
-        1 for k in range(1, ring.modulus) if find_reduction(ring, k) is None
-    )
+    return ring.modulus - 1 - len(reducible_set(ring))
 
 
 def units_only(ring: ResidueRing) -> bool:
     """Does irreducibility coincide exactly with invertibility?
     (Holds precisely for N = 2 and odd prime powers.)"""
     n = ring.modulus
-    return all(
-        (find_reduction(ring, k) is None) == (gcd(k, n) == 1)
-        for k in range(1, n)
-    )
+    return reducible_set(ring) == [k for k in range(1, n) if gcd(k, n) != 1]
 
 
 def sizes_table(p: int) -> list[tuple[int, int]]:

@@ -314,6 +314,37 @@ def _fail(args, message: str, code: int = 2) -> int:
     return code
 
 
+def _asks_json(parser: argparse.ArgumentParser, argv: list[str]) -> bool:
+    """Does argv ask for --format json?  The literal --format json and
+    --format=json count anywhere, even with no known command.  After the
+    command's name, so does every spelling its parser accepts: a prefix
+    of --format that starts none of its other options, as in --form json
+    or --fo=json."""
+    if "--format=json" in argv or ("--format", "json") in zip(argv, argv[1:]):
+        return True
+    start = 0
+    for i, token in enumerate(argv):  # down to the innermost command named
+        commands = next(
+            (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)),
+            {},
+        )
+        if token in commands:
+            parser, start = commands[token], i + 1
+    options = [option for action in parser._actions for option in action.option_strings]
+    for i in range(start, len(argv)):
+        if argv[i] == "--":  # the rest are positionals
+            break
+        name, eq, value = argv[i].partition("=")
+        if len(name) < 3 or not name.startswith("--"):
+            continue
+        matches = [name] if name in options else [o for o in options if o.startswith(name)]
+        if matches != ["--format"]:
+            continue
+        if (value if eq else "".join(argv[i + 1 : i + 2])) == "json":
+            return True
+    return False
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
@@ -321,7 +352,7 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         where, message = exc.args
-        if "--format=json" in argv or ("--format", "json") in zip(argv, argv[1:]):
+        if _asks_json(parser, argv):
             return _fail(argparse.Namespace(format="json"), message)
         where.print_usage(sys.stderr)
         print(f"{where.prog}: error: {message}", file=sys.stderr)

@@ -21,14 +21,16 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from ._numbers import euler_phi, sieve_primes
-from .classify import DECIDERS, PREDICTORS, omega_count, quasi_family, semi_family
-from .modring import ResidueRing
-from .monomial import (
-    _size_is_2_mod_4,
-    find_reduction,
-    minimal_size,
-    minimal_size_prime_fast,
+from .classify import (
+    DECIDERS,
+    PREDICTORS,
+    omega_count,
+    quasi_family,
+    reducible_set,
+    semi_family,
 )
+from .modring import ResidueRing
+from .monomial import _size_is_2_mod_4, minimal_size, minimal_size_prime_fast
 
 __all__ = [
     "CheckpointError",
@@ -393,14 +395,10 @@ def emit_appendix(which: str, *, workers: int = 1) -> list[dict]:
             if quasi_family(n) == "two_three"
         ]
     if which == "C":
-        table = []
-        for n in APPENDIX_C_MODULI:
-            ring = ResidueRing(n)
-            ks = [0] + [
-                k for k in range(1, n) if find_reduction(ring, k) is not None
-            ]
-            table.append({"N": n, "reducible": ks})
-        return table
+        return [
+            {"N": n, "reducible": [0] + reducible_set(ResidueRing(n))}
+            for n in APPENDIX_C_MODULI
+        ]
     result = run_scan(ScanJob(kind="semi", lo=4, hi=2500, workers=workers))  # D
     return [
         {"N": row["N"], "tag": semi_family(row["N"]) or "numerical_only"}

@@ -7,8 +7,11 @@ from math import gcd
 
 import pytest
 
-from monomod import classify, monomial
+from monomod import classify, monomial, scan
 from monomod.classify import (
+    DECIDERS,
+    ClassVerdict,
+    Counterexample,
     decide_monomial,
     decide_quasi,
     decide_semi,
@@ -20,6 +23,7 @@ from monomod.classify import (
     predict_reducible_set_2x3m,
     predict_semi,
     quasi_family,
+    reducible_set,
     semi_candidates,
     semi_family,
     sizes_table,
@@ -219,3 +223,75 @@ def test_monomial_implies_quasi_implies_semi_small_scale():
             assert quasi, n
         if quasi:
             assert semi, n
+
+
+# Oracles: the full ascending find_reduction loops that the deciders and
+# counts ran before they used the mirror k -> N - k.
+
+ORACLE_MAX_N = 300
+
+
+@pytest.fixture(scope="module")
+def witnesses() -> dict[int, list]:
+    """N -> [None, find_reduction(N, 1), ..., find_reduction(N, N - 1)]."""
+    table = {}
+    for n in range(2, ORACLE_MAX_N + 1):
+        ring = ResidueRing(n)
+        table[n] = [None] + [find_reduction(ring, k) for k in range(1, n)]
+    return table
+
+
+def oracle_candidates(kind: str, ring: ResidueRing) -> list[int]:
+    n = ring.modulus
+    if kind == "monomial":
+        return list(range(1, n))
+    if kind == "quasi":
+        return [k for k in range(1, n) if gcd(k, n) == 1]
+    return semi_candidates(ring)
+
+
+def oracle_decide(kind: str, ring: ResidueRing, found: list) -> ClassVerdict:
+    n = ring.modulus
+    checked = []
+    for k in oracle_candidates(kind, ring):
+        checked.append(k)
+        if found[k] is not None:
+            return ClassVerdict(n, kind, False, Counterexample(k, found[k]), tuple(checked))
+    return ClassVerdict(n, kind, True, None, tuple(checked))
+
+
+def test_deciders_equal_the_full_loop(witnesses):
+    for n, found in witnesses.items():
+        ring = ResidueRing(n)
+        for kind, decide in DECIDERS.items():
+            assert decide(ring) == oracle_decide(kind, ring, found), (n, kind)
+
+
+def test_counts_equal_the_full_loop(witnesses):
+    for n, found in witnesses.items():
+        ring = ResidueRing(n)
+        reducible = [k for k in range(1, n) if found[k] is not None]
+        assert reducible_set(ring) == reducible, n
+        assert omega_count(ring) == sum(1 for k in range(1, n) if found[k] is None), n
+        assert units_only(ring) == all(
+            (found[k] is None) == (gcd(k, n) == 1) for k in range(1, n)
+        ), n
+
+
+def test_nothing_above_half_the_modulus_is_walked(monkeypatch):
+    calls = []
+
+    def spy(ring, k):
+        calls.append((ring.modulus, k))
+        assert 2 * k <= ring.modulus, (ring.modulus, k)
+        return find_reduction(ring, k)
+
+    monkeypatch.setattr(classify, "find_reduction", spy)
+    for n in range(2, 121):
+        ring = ResidueRing(n)
+        for decide in DECIDERS.values():
+            decide(ring)
+        omega_count(ring)
+        units_only(ring)
+    scan.emit_appendix("C")
+    assert {n for n, _ in calls} == set(range(2, 121)) | set(scan.APPENDIX_C_MODULI)

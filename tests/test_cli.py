@@ -617,6 +617,12 @@ def test_scan_empty_checkpoint_is_usage_error(capsys, tmp_path, monkeypatch):
         "--format json size 17",
         "size 17 x --format json",
         "bogus --format json",
+        # abbreviations the command's parser accepts for --format
+        "size 17 --form json",
+        "size 17 --fo=json",
+        "witness prop36 6 --form json",
+        "scan --kind semi --from 4 --fo json",
+        "size 17 5 --fo json --bogus",
     ],
 )
 def test_usage_error_in_json_mode_is_one_json_object(capsys, argv):
@@ -627,6 +633,22 @@ def test_usage_error_in_json_mode_is_one_json_object(capsys, argv):
     assert obj["error"]["code"] == 2
     assert set(obj["error"]) == {"message", "code"}
     assert captured.out.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "scan --kind semi --from 4 --f json",  # ambiguous: --from, --fsync, --format
+        "size 17 --form=csv",
+        "size 17 -- --form json",
+        "--form json size 17",  # before the command: not an option of size
+    ],
+)
+def test_usage_error_without_json_is_text_on_stderr(capsys, argv):
+    assert run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_scan_resume_via_cli(capsys, tmp_path):

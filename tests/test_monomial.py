@@ -313,6 +313,24 @@ def test_negated_k_has_same_size_and_verdict(n, k):
     assert report(ring, k).irreducible == report(ring, mirror).irreducible
 
 
+def test_mirror_negates_border_and_twists_signs():
+    # M(-k) = -D M(k) D with D = diag(1, -1): N - k has k's size with sign
+    # (-1)**r eps, and its witness is N - x with sign (-1)**length s
+    for n in range(3, 201):
+        ring = ResidueRing(n)
+        for k in range(1, n):
+            rep, mirror = report(ring, k), report(ring, n - k)
+            assert mirror.size == rep.size, (n, k)
+            assert mirror.sign == (-1) ** rep.size * rep.sign, (n, k)
+            w = find_reduction(ring, k)
+            mirrored = find_reduction(ring, n - k)
+            if w is None:
+                assert mirrored is None, (n, k)
+            else:
+                sign = (-1) ** w.length * w.sign
+                assert mirrored == ReductionWitness((n - w.x) % n, w.length, sign), (n, k)
+
+
 def test_size_over_divisor_divides_size():
     for n in range(2, 41):
         ring = ResidueRing(n)

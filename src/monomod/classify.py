@@ -118,10 +118,12 @@ def semi_candidates(ring: ResidueRing) -> list[int]:
     N = 2 mod 4).  0 can only appear for N = 2 and is dropped: the
     0-monomial solution is handled by the k = 0 convention, not here."""
     n = ring.modulus
+    if n % 2:  # 2 is a unit, so doubling permutes the units
+        return [a for a in range(1, n) if gcd(a, n) == 1]
+    # 2a mod N depends on a mod N/2 alone and base has the primes of
+    # N/2, so a in [1, N/2) gives each value once, ascending
     base = n // 2 if n % 4 == 2 else n
-    doubled = {2 * a % n for a in range(1, n) if gcd(a, base) == 1}
-    doubled.discard(0)
-    return sorted(doubled)
+    return [2 * a for a in range(1, n // 2) if gcd(a, base) == 1]
 
 
 def decide_semi(ring: ResidueRing) -> ClassVerdict:

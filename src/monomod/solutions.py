@@ -89,6 +89,8 @@ def _prime_power_roots(p: int, e: int, k: int) -> list[int]:
     """
     q = p**e
     k %= q
+    if k % p:  # a = 0: the two classes are 0 and k themselves
+        return [0, k]
     a = _valuation(p, e, k)
     if 2 * a >= e:
         step = p ** ((e + 1) // 2)

@@ -14,7 +14,7 @@ from monomod import core, monomial
 from monomod.classify import decide_quasi, decide_semi
 from monomod.core import CAP_MESSAGE
 from monomod._numbers import prime_power, sieve_primes
-from monomod.modring import ResidueRing, identity, monomial_power, pm_id
+from monomod.modring import ResidueRing, chain, identity, monomial_power, pm_id
 from monomod.monomial import (
     ReductionWitness,
     find_reduction,
@@ -104,7 +104,8 @@ def test_kernel_matches_reference_walk_on_large_moduli():
 
 @pytest.mark.slow
 def test_first_match_leaves_three_steps_before_the_order():
-    # the module docstring's bound, which lets find_reduction stop early
+    # the module docstring's bounds: the walk may stop at its first match,
+    # and that match comes before the centre r//2 where every walk stops
     for n in range(2, 301):
         ring = ResidueRing(n)
         for k in range(1, n):
@@ -114,16 +115,40 @@ def test_first_match_leaves_three_steps_before_the_order():
             stopped = core.order_and_reduction(n, k, roots, cap, stop_at_match=True)
             if t0 == 0:
                 assert stopped == (r, eps, 0, 0, 0), (n, k)
-            else:
-                assert t0 <= r - 3, (n, k)
-                assert stopped == (t0, 0, t0, x0, s0), (n, k)
+                continue
+            assert t0 <= (r - 2) // 2, (n, k)
+            assert stopped == (t0, 0, t0, x0, s0), (n, k)
+            # the mirror witness (k-x0, k, ..., k, k-x0) of length r-t0,
+            # multiplied out entry by entry (n <= 150 keeps this under a
+            # second; its length grows with r)
+            if n <= 150:
+                y = (k - x0) % n
+                mirror = (y,) + (k,) * (r - t0 - 2) + (y,)
+                assert pm_id(chain(ring, mirror)) == -eps * s0, (n, k)
 
 
 def test_walk_cap_turns_missed_order_into_runtime_error():
+    # the real order is 7, so both walks stop at the centre t = 3
     with pytest.raises(RuntimeError, match=CAP_MESSAGE):
-        core.order_pm(7, 2, 3)  # the real order is 7
+        core.order_pm(7, 2, 2)
     with pytest.raises(RuntimeError, match=CAP_MESSAGE):
-        core.order_and_reduction(7, 2, (), 3)
+        core.order_and_reduction(7, 2, (), 2)
+
+
+def test_walks_stop_exactly_at_the_centre():
+    # equality with the reference walk cannot see a dropped stop rule,
+    # which only makes a walk longer; the cap can
+    for n in range(2, 301):
+        ring = ResidueRing(n)
+        for k in range(n):
+            roots = tuple(x for x in bordered_constraint_roots(ring, k) if x not in (0, k))
+            r, eps = core.order_pm(n, k, n**3 + 1)
+            assert core.order_pm(n, k, r // 2) == (r, eps), (n, k)
+            assert core.order_and_reduction(n, k, roots, r // 2)[:2] == (r, eps), (n, k)
+            with pytest.raises(RuntimeError, match=CAP_MESSAGE):
+                core.order_pm(n, k, r // 2 - 1)
+            with pytest.raises(RuntimeError, match=CAP_MESSAGE):
+                core.order_and_reduction(n, k, roots, r // 2 - 1)
 
 
 @pytest.mark.parametrize(

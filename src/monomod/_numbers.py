@@ -106,6 +106,14 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def divisors(n: int) -> list[int]:
+    """Every positive divisor of n, ascending, from its factorization."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
 def euler_phi(n: int) -> int:
     """Euler's totient via the factorization of n."""
     if n < 1:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterable
 
+from . import components
 from ._numbers import euler_phi, is_prime, prime_power
 from .modring import ResidueRing
 from .monomial import ReductionWitness, _prime_size, find_reduction
@@ -249,8 +250,16 @@ def reducible_set(ring: ResidueRing) -> list[int]:
 
 
 def omega_count(ring: ResidueRing) -> int:
-    """Number of k in [1, N) whose minimal solution is irreducible."""
-    return ring.modulus - 1 - len(reducible_set(ring))
+    """Number of k in [1, N) whose minimal solution is irreducible.
+
+    Counted per signature class of the prime-power components of N (see
+    the components module), except for N = p**e with e >= 2: there the
+    k-loop of reducible_set skips every unit at once on its root count,
+    while a component table would walk every multiple of p."""
+    parts = [(p, e) for p, e, _ in ring.crt_idempotents]
+    if len(parts) == 1 and parts[0][1] >= 2:
+        return ring.modulus - 1 - len(reducible_set(ring))
+    return components.omega(parts)
 
 
 def units_only(ring: ResidueRing) -> bool:

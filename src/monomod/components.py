@@ -1,0 +1,198 @@
+"""omega(N) by a fold over the prime-power components of N.
+
+Whether k is reducible mod N depends only on k mod each q = p**e
+exactly dividing N, through a small signature; residues with equal
+signatures are counted together, so omega(N) costs a few tables per
+component and one product of them, not one walk per k.
+classify.omega_count is the one caller; the k-loop of
+classify.reducible_set is the oracle.
+
+Hits.  With M = M(k) and a_t as in the core module (a_{-1} = 0,
+a_0 = 1, M**t = [[a_t, -a_{t-1}], [a_{t-1}, ...]]), the core match rule
+says M**t = s*(M(x)**-1)**2 exactly when a_t = -s and x = a_t*a_{t-1}.
+Call such a t a hit with sign s and border x.  k is reducible mod N iff
+some hit has x not 0 and not k: a hit at t is one at t mod r with the
+same x (M**(t+r) = eps*M**t flips a_t and a_{t-1} together), a hit at
+t = 0 mod r has x = 0 (M**t = +/-Id, a_{t-1} = 0), t = -1 mod r is no
+hit (a_t = 0) and a hit at t = -2 mod r has x = k (M**t = eps*M**-2);
+so every other hit lies in [1, r-3], a bordered witness of length t+2.
+M**t depends on t mod O, the order of M in SL_2(Z/NZ), so the hits in
+[0, O) are all of them.
+
+Signature of k mod q: (O, hits), O the least t >= 1 with M**t = Id
+mod q and hits the set of (s, t, x = 0?, x = k?) over the hits t in
+[0, O) mod q.  For q = 2 the signs coincide and each hit is listed
+with both.
+
+Merge.  By the CRT, M**t = Id mod q1*q2 iff it is mod both, so the
+order of a merged part is lcm(O1, O2); t is a hit mod q1*q2 with sign
+s iff t mod O1 and t mod O2 are hits with sign s, i.e. a pair of hits
+of equal sign with t1 = t2 mod gcd(O1, O2), whose t is their
+generalised CRT solution; and x = 0 (or x = k) mod q1*q2 iff it is mod
+both, so the flags are ANDed.  A flag can still turn false in a later
+merge and a hit can still find no partner, so no part is judged before
+the last merge, and that one only asks whether some pair of hits
+leaves both flags false.  The empty product is the part
+(1, {(+1, 0, T, T), (-1, 0, T, T)}), which every merge leaves as it is.
+
+k = 0 is never reducible: consecutive a_t of M(0) are 1, 0, -1, 0, so
+every hit has x = 0 = k in each component.  So omega is the number of
+irreducible residues mod N, minus one.
+
+Tables, {signature: count} over all k mod q:
+
+  * Unit k mod q: p cannot divide both x and x - k, whose difference
+    is k, so x*(x-k) = 0 mod p**e forces x = 0 or x = k, and the hits are
+    exactly where M**t or M**(t+2) is +/-Id: (-1, 0, T, F) and
+    (+1, O-2, F, T), and with M**(O/2) = -Id also (+1, O/2, T, F)
+    and (-1, O/2-2, F, T).  The signature is fixed by O and whether
+    -Id is a power of M.
+  * Odd p, unit k not +/-2 mod p: M mod p has distinct eigenvalues
+    lambda, 1/lambda in F_p* or in the norm-1 torus of F_{p**2}, of
+    order d dividing p - 1 or p + 1, and the phi(d)/2 pairs of order
+    d give the k of order d; d = 1, 2 is k = +/-2 and d = 4 is k = 0,
+    so d > 2, d != 4 (d dividing both p -+ 1 divides 2).  Mod p**e the
+    eigenvalues live in a cyclic group of order (p -+ 1)*p**(e-1),
+    Hensel's lemma lifts them (the discriminant k*k - 4 is a unit),
+    and the p**(e-1) lifts of lambda are lambda*u for u in the cyclic
+    p-part, of order d*ord(u).  The lifts of k and of lambda pair up
+    one to one (the other eigenvalue is a different residue mod p), so
+    each class of order d lifts to 1 residue of order d and
+    p**j - p**(j-1) of order d*p**j, 1 <= j < e.  The cyclic group
+    holds one element of order 2, -1, so -Id is a power iff d is even.
+  * Odd p, k = +/-2 mod p: M = +/-(Id + nilpotent) mod p has order
+    o0 = p (k = 2) or 2p (k = -2), and M**o0 = Id + p*A with
+    (Id + p*A)**(p**j) = Id + p**(j+1)*A_j for odd p, so O = o0*p**j
+    for the least j < e with M**(o0*p**j) = Id: one core.power_pm per
+    j < e - 1, and j = e - 1 needs no test.  For k = 2, O is odd, so no
+    power is -Id.  For k = -2, -M has odd order O/2, so
+    M**(O/2) = (-1)**(O/2)*Id = -Id.
+  * Multiples of p, and every residue mod 2**e: one walk each, to the
+    order of M up to sign (M has finite order, so it ends).
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from math import gcd
+
+from . import core
+from ._numbers import divisors, euler_phi, inv_mod
+
+# classify.omega_count is the one caller, so nothing here is public.
+__all__: list[str] = []
+
+Hit = tuple[int, int, bool, bool]  # (s, t, x = 0?, x = k?)
+Signature = tuple[int, frozenset[Hit]]  # (O, hits)
+
+EMPTY_PRODUCT: Signature = (1, frozenset({(1, 0, True, True), (-1, 0, True, True)}))
+
+
+def walk_signature(q: int, k: int) -> Signature:
+    """(O, hits) of k mod q, from one walk of M(k) to its order r up to
+    sign.  When M**r = -Id, O = 2r and M**(t+r) = -M**t repeats each hit
+    (s, t, ...) as (-s, t + r, ...) with the same border."""
+    k %= q
+    m = q - 1
+    hits = set()
+    a, c, t = 1, 0, 0  # (a_t, a_{t-1})
+    while True:
+        if a == 1 or a == m:
+            x = c if a == 1 else -c % q
+            if a == 1:
+                hits.add((-1, t, x == 0, x == k))
+            if a == m:  # also for q = 2, where 1 = -1
+                hits.add((1, t, x == 0, x == k))
+        a, c = (k * a - c) % q, a
+        t += 1
+        if c == 0 and (a == 1 or a == m):
+            break
+    if a == 1:
+        return t, frozenset(hits)
+    return 2 * t, frozenset(hits | {(-s, u + t, z, w) for s, u, z, w in hits})
+
+
+def unit_signature(order: int, minus_id: bool) -> Signature:
+    """The signature of a unit k mod an odd q whose M(k) has this order,
+    with -Id among its powers or not."""
+    hits = {(-1, 0, True, False), (1, order - 2, False, True)}
+    if minus_id:
+        half = order // 2
+        hits |= {(1, half, True, False), (-1, half - 2, False, True)}
+    return order, frozenset(hits)
+
+
+def component_table(p: int, e: int) -> Counter[Signature]:
+    """{signature: count} over all k mod p**e."""
+    q = p**e
+    if p == 2:
+        return Counter(walk_signature(q, k) for k in range(q))
+    table: Counter[Signature] = Counter()
+    for side in (p - 1, p + 1):
+        for d in divisors(side):
+            if d <= 2 or d == 4:
+                continue
+            classes = euler_phi(d) // 2
+            table[unit_signature(d, d % 2 == 0)] += classes
+            for j in range(1, e):
+                lifts = classes * (p**j - p ** (j - 1))
+                table[unit_signature(d * p**j, d % 2 == 0)] += lifts
+    for base, o0 in ((2, p), (p - 2, 2 * p)):
+        most = o0 * p ** (e - 1)  # every order divides it
+        for k in range(base, q, p):
+            order = o0
+            while order < most and core.power_pm(q, k, order) != 1:
+                order *= p
+            table[unit_signature(order, base != 2)] += 1
+    for k in range(0, q, p):
+        table[walk_signature(q, k)] += 1
+    return table
+
+
+def merge(one: Signature, two: Signature) -> Signature:
+    """The signature of a residue of two coprime parts (see the module
+    docstring)."""
+    (o1, hits1), (o2, hits2) = one, two
+    g = gcd(o1, o2)
+    m = o2 // g
+    u = inv_mod(o1 // g, m)  # o1/g * u = 1 mod o2/g
+    hits = set()
+    for s, t1, z1, w1 in hits1:
+        for s2, t2, z2, w2 in hits2:
+            if s2 == s and (t2 - t1) % g == 0:
+                # generalised CRT: t = t1 + o1*y with o1*y = t2 - t1 mod o2
+                t = t1 + o1 * ((t2 - t1) // g * u % m)
+                hits.add((s, t, z1 and z2, w1 and w2))
+    return o1 * m, frozenset(hits)
+
+
+def reducible(one: Signature, two: Signature) -> bool:
+    """Does merge(one, two) have a hit with both flags false?"""
+    (o1, hits1), (o2, hits2) = one, two
+    g = gcd(o1, o2)
+    for s, t1, z1, w1 in hits1:
+        for s2, t2, z2, w2 in hits2:
+            if s2 == s and (t2 - t1) % g == 0 and not (z1 and z2) and not (w1 and w2):
+                return True
+    return False
+
+
+def omega(parts: list[tuple[int, int]]) -> int:
+    """Number of k in [1, N) with irreducible minimal solution, for
+    N = the product of p**e over parts (distinct primes).  The largest
+    table comes last, where each pair is only tested, not merged."""
+    tables = sorted((component_table(p, e) for p, e in parts), key=len)
+    folded = Counter({EMPTY_PRODUCT: 1})
+    for table in tables[:-1]:
+        merged: Counter[Signature] = Counter()
+        for one, count in folded.items():
+            for two, times in table.items():
+                merged[merge(one, two)] += count * times
+        folded = merged
+    irreducible = sum(
+        count * times
+        for one, count in folded.items()
+        for two, times in tables[-1].items()
+        if not reducible(one, two)
+    )
+    return irreducible - 1  # k = 0

@@ -120,6 +120,11 @@ _PINNED = {
     ("omega 6", "text"): "N=6 omega=5\n",
     ("omega 6", "json"): '{"N": 6, "omega": 5}\n',
     ("omega 6", "csv"): "N,omega\r\n6,5\r\n",
+    # a prime: answered by its component table, where the k-loop would
+    # make 5 * 10**8 find_reduction calls
+    ("omega 1000000007", "text"): "N=1000000007 omega=1000000006\n",
+    ("omega 1000000007", "json"): '{"N": 1000000007, "omega": 1000000006}\n',
+    ("omega 1000000007", "csv"): "N,omega\r\n1000000007,1000000006\r\n",
     ("sizes-table 17", "text"): (
         "k=1 r=3\nk=2 r=17\nk=3 r=9\nk=4 r=9\nk=5 r=8\nk=6 r=4\n"
         "k=7 r=9\nk=8 r=8\n"

@@ -1,0 +1,87 @@
+"""The component fold behind omega_count, checked against brute-force
+matrix products and against the k-loop of reducible_set."""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from monomod import components
+from monomod._numbers import factorize, is_prime, prime_power
+from monomod.classify import omega_count, reducible_set
+from monomod.modring import Mat2, ResidueRing, elementary, identity
+
+
+def brute_signature(q: int, k: int) -> components.Signature:
+    """(O, hits) by comparing each power M(k)**t, t in [0, O), with
+    s*(M(x)**-1)**2 for every x and both signs, as Mat2 products."""
+    ring = ResidueRing(q)
+    targets: dict[Mat2, list[tuple[int, int]]] = {}
+    for x in range(q):
+        inverse = Mat2(ring, 0, 1, q - 1, x)  # M(x)**-1
+        square = inverse * inverse
+        for s in (1, -1):
+            entries = (s * v % q for v in (square.a, square.b, square.c, square.d))
+            targets.setdefault(Mat2(ring, *entries), []).append((s, x))
+    m, power, hits, t = elementary(ring, k), identity(ring), set(), 0
+    while t == 0 or power != identity(ring):
+        for s, x in targets.get(power, ()):
+            hits.add((s, t, x == 0, x == k % q))
+        power, t = m * power, t + 1
+    return t, frozenset(hits)
+
+
+@pytest.mark.parametrize("q", range(2, 41))
+def test_walk_hits_equal_matrix_products(q):
+    for k in range(q):
+        assert components.walk_signature(q, k) == brute_signature(q, k), k
+
+
+ODD_PRIME_POWERS = [q for q in range(3, 201, 2) if prime_power(q) is not None]
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS)
+def test_closed_form_table_equals_walked_signatures(q):
+    p, e = prime_power(q)
+    walked = Counter(components.walk_signature(q, k) for k in range(q))
+    assert components.component_table(p, e) == walked
+
+
+def test_merge_equals_the_walk_of_the_product():
+    for n in range(6, 121):
+        fac = factorize(n)
+        if len(fac) < 2:
+            continue
+        p, e = min(fac.items())
+        q1, q2 = p**e, n // p**e
+        for k in range(n):
+            merged = components.merge(
+                components.walk_signature(q1, k), components.walk_signature(q2, k)
+            )
+            assert merged == components.walk_signature(n, k), (n, k)
+            assert components.merge(components.EMPTY_PRODUCT, merged) == merged
+
+
+def loop_omega(n: int) -> int:
+    return n - 1 - len(reducible_set(ResidueRing(n)))
+
+
+@pytest.mark.parametrize("lo", range(2, 801, 100))
+def test_omega_equals_the_k_loop(lo):
+    for n in range(lo, min(lo + 100, 801)):
+        assert omega_count(ResidueRing(n)) == loop_omega(n), n
+
+
+@pytest.mark.parametrize("n", [1458, 2500, 2916, 3072, 4374, 4802])
+def test_omega_of_seeded_composites_equals_the_k_loop(n):
+    assert omega_count(ResidueRing(n)) == loop_omega(n)
+
+
+def test_omega_far_past_the_tables():
+    # the k-loop takes about 14 s for this one, so its value is pinned
+    assert omega_count(ResidueRing(75600)) == 40903
+    # primes are monomially irreducible: every nonzero k is irreducible
+    for p in (10**9 + 7, 2**31 - 1):
+        assert is_prime(p)
+        assert omega_count(ResidueRing(p)) == p - 1

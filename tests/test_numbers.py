@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from monomod._numbers import (
     crt,
     crt_pair,
+    divisors,
     egcd,
     euler_phi,
     factorize,
@@ -60,6 +61,13 @@ def test_crt_pair_round_trip(n1, n2, data):
     assert n == n1 * n2
     assert 0 <= x < n
     assert x % n1 == a1 and x % n2 == a2
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 3001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    with pytest.raises(ValueError):
+        divisors(0)
 
 
 def test_sieve_matches_sympy():

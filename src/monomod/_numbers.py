@@ -32,31 +32,6 @@ def inv_mod(a: int, n: int) -> int:
     return x % n
 
 
-def crt_pair(a1: int, n1: int, a2: int, n2: int) -> tuple[int, int]:
-    """Combine x = a1 (mod n1), x = a2 (mod n2) for coprime n1, n2."""
-    g, u, _ = egcd(n1, n2)
-    if g != 1:
-        raise ValueError(f"moduli {n1} and {n2} are not coprime")
-    n = n1 * n2
-    # x = a1 + n1 * u * (a2 - a1) works because n1*u = 1 (mod n2)
-    return (a1 + n1 * u * (a2 - a1)) % n, n
-
-
-def crt(pairs: list[tuple[int, int]]) -> tuple[int, int]:
-    """Solve x = a_i (mod n_i) for pairwise coprime moduli.
-
-    Returns (x, prod(n_i)) with x canonical.  Raises ValueError on an
-    empty input or non-coprime moduli.
-    """
-    if not pairs:
-        raise ValueError("crt needs at least one congruence")
-    a, n = pairs[0]
-    a %= n
-    for b, m in pairs[1:]:
-        a, n = crt_pair(a, n, b, m)
-    return a, n
-
-
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit by Eratosthenes."""
     if limit < 2:

@@ -42,7 +42,6 @@ __all__ = [
     "decide_monomial",
     "decide_quasi",
     "decide_semi",
-    "euler_phi",
     "omega_count",
     "predict_conjecture",
     "predict_monomial",
@@ -54,7 +53,6 @@ __all__ = [
     "semi_candidates",
     "semi_family",
     "sizes_table",
-    "units_only",
 ]
 
 MONOMIAL_SPORADIC = frozenset({4, 6, 8, 12, 24})
@@ -253,20 +251,19 @@ def omega_count(ring: ResidueRing) -> int:
     """Number of k in [1, N) whose minimal solution is irreducible.
 
     Counted per signature class of the prime-power components of N (see
-    the components module), except for N = p**e with e >= 2: there the
-    k-loop of reducible_set skips every unit at once on its root count,
-    while a component table would walk every multiple of p."""
+    the components module), except for N = p**e with e >= 2, where a
+    component table would walk every multiple of p.  For odd p the
+    count is phi(N): a unit k is irreducible, since x*(x-k) = 0 mod p**e
+    forces x in {0, k}, and every nonzero non-unit k = a*p**t is
+    reducible by the paper's Lemma 4.1 (construct.witness_lemma41).
+    Powers of 2 keep the k-loop of reducible_set, which skips every unit
+    at once on its root count."""
     parts = [(p, e) for p, e, _ in ring.crt_idempotents]
     if len(parts) == 1 and parts[0][1] >= 2:
+        if parts[0][0] != 2:
+            return euler_phi(ring.modulus)
         return ring.modulus - 1 - len(reducible_set(ring))
     return components.omega(parts)
-
-
-def units_only(ring: ResidueRing) -> bool:
-    """Does irreducibility coincide exactly with invertibility?
-    (Holds precisely for N = 2 and odd prime powers.)"""
-    n = ring.modulus
-    return reducible_set(ring) == [k for k in range(1, n) if gcd(k, n) != 1]
 
 
 def sizes_table(p: int) -> list[tuple[int, int]]:

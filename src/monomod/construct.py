@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from ._numbers import crt as _crt_pairs
 from ._numbers import egcd, factorize, inv_mod, is_prime
 from .modring import ResidueRing
 from .monomial import minimal_size, report
@@ -20,18 +19,12 @@ from .solutions import ModTuple, solution_sign
 
 __all__ = [
     "ConstructedWitness",
-    "crt",
     "reducible_k_prop34",
     "witness_lemma41",
     "witness_prop34",
     "witness_prop36",
     "witness_prop51",
 ]
-
-
-def crt(pairs: list[tuple[int, int]]) -> int:
-    """Smallest nonnegative x with x = r mod m for every (r, m)."""
-    return _crt_pairs(pairs)[0]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ __all__ = [
     "MonomialReport",
     "ReductionWitness",
     "find_reduction",
-    "find_reduction_naive",
     "minimal_size",
     "minimal_size_prime_fast",
     "report",
@@ -99,37 +98,6 @@ def find_reduction(ring: ResidueRing, k: int) -> ReductionWitness | None:
     if bordered_root_count(ring, k) <= 2:
         return None
     return _walk(ring, k, stop_at_match=True)[2]
-
-
-def find_reduction_naive(ring: ResidueRing, k: int) -> ReductionWitness | None:
-    """Oracle twin of find_reduction: tries every x in [0, N), not just
-    the constraint roots, and multiplies the bordered product out
-    directly.  Quadratic in N; intended for N <= 200."""
-    n = ring.modulus
-    k = ring.canon(k)
-    if k == 0:
-        raise ValueError("k must be nonzero")
-    r, _ = minimal_size(ring, k)
-    # prefix[t] = M(k)**t as entry tuples, t = 1 .. r-3
-    prefix = []
-    a, b, c, d = k, n - 1, 1, 0
-    for _ in range(max(r - 3, 0)):
-        prefix.append((a, b, c, d))
-        a, b, c, d = (k * a - c) % n, (k * b - d) % n, a, b
-    for t, (pa, pb, pc, pd) in enumerate(prefix, start=1):
-        for x in range(n):
-            # M(x) * P * M(x) with M(x) = [[x,-1],[1,0]]
-            qa, qb = (x * pa - pc) % n, (x * pb - pd) % n
-            wb = (n - qa) % n
-            if wb != 0:
-                continue
-            wa = (qa * x + qb) % n
-            qc, qd = pa, pb
-            wc = (qc * x + qd) % n
-            wd = (n - qc) % n
-            if wc == 0 and wa == wd and wa in (1, n - 1):
-                return ReductionWitness(x, t + 2, 1 if wa == 1 else -1)
-    return None
 
 
 def report(ring: ResidueRing, k: int) -> MonomialReport:

@@ -30,7 +30,7 @@ from .classify import (
     semi_family,
 )
 from .modring import ResidueRing
-from .monomial import _size_is_2_mod_4, minimal_size, minimal_size_prime_fast
+from .monomial import _size_is_2_mod_4, minimal_size_prime_fast
 
 __all__ = [
     "CheckpointError",
@@ -40,7 +40,6 @@ __all__ = [
     "emit_appendix",
     "run_scan",
     "scan_conjecture",
-    "scan_conjecture_checked",
 ]
 
 SCAN_KINDS = (*DECIDERS, "omega")
@@ -322,38 +321,14 @@ def scan_conjecture(max_prime: int) -> list[int]:
     """Odd primes p <= max_prime whose nonzero minimal sizes all avoid
     2 mod 4; stops scanning a prime at its first k in [1,(p-1)/2] that
     lands on 2 mod 4.  Each k is tested with monomial._size_is_2_mod_4,
-    one power of M(k), and the k that eliminates a prime is
-    confirmed with its full size (see scan_conjecture_checked)."""
-    primes, _ = scan_conjecture_checked(max_prime, sample_den=0)
-    return primes
-
-
-def scan_conjecture_checked(
-    max_prime: int, sample_den: int = 100
-) -> tuple[list[int], list[dict]]:
-    """scan_conjecture plus a deterministic spot check: roughly one in
-    sample_den of the examined (p, k) pairs is recomputed with the
-    generic walk, and a pair is reported when the walk's (r, eps)
-    differs from minimal_size_prime_fast's or its r = 2 mod 4 verdict
-    from _size_is_2_mod_4's (sample_den=0 disables the check).
-
-    Whatever the sample, the k that eliminates a prime is confirmed with
-    minimal_size_prime_fast, and a disagreement raises RuntimeError."""
+    one power of M(k), and the k that eliminates a prime is confirmed
+    with minimal_size_prime_fast: a disagreement raises RuntimeError."""
     if max_prime < 3:
         raise ValueError("max_prime must be >= 3")
     survivors = []
-    anomalies: list[dict] = []
     for p in sieve_primes(max_prime)[1:]:  # the odd primes
         for k in range(1, (p - 1) // 2 + 1):
-            hit = _size_is_2_mod_4(p, k)
-            if sample_den and (p * 1009 + k * 101) % sample_den == 0:
-                fast = minimal_size_prime_fast(p, k)
-                walked = minimal_size(ResidueRing(p), k)
-                if walked != fast or hit != (walked[0] % 4 == 2):
-                    anomalies.append(
-                        {"p": p, "k": k, "fast": list(fast), "walk": list(walked)}
-                    )
-            if hit:
+            if _size_is_2_mod_4(p, k):
                 r, _ = minimal_size_prime_fast(p, k)
                 if r % 4 != 2:
                     raise RuntimeError(
@@ -363,7 +338,7 @@ def scan_conjecture_checked(
                 break
         else:
             survivors.append(p)
-    return survivors, anomalies
+    return survivors
 
 
 def emit_appendix(which: str, *, workers: int = 1) -> list[dict]:

@@ -1,0 +1,93 @@
+"""Slow twins of library answers, kept as test oracles.
+
+Each one recomputes an answer the library gives by a shorter path, by
+brute force or by a second method, so the tests can compare the two:
+
+  * find_reduction_naive: every border x in [0, N), products multiplied
+    out, against monomial.find_reduction;
+  * units_only: the full reducible set of one modulus, against the
+    theorem that irreducibility is invertibility exactly for N = 2 and
+    the odd prime powers;
+  * survey_spot_check: the generic walk on a sample of the prime
+    survey's (p, k) pairs, against its powers of M(k).
+"""
+
+from __future__ import annotations
+
+from math import gcd
+
+from monomod import scan
+from monomod._numbers import sieve_primes
+from monomod.classify import reducible_set
+from monomod.modring import ResidueRing
+from monomod.monomial import ReductionWitness, minimal_size
+
+
+def find_reduction_naive(ring: ResidueRing, k: int) -> ReductionWitness | None:
+    """Twin of find_reduction: tries every x in [0, N), not just the
+    constraint roots, and multiplies the bordered product out directly.
+    Quadratic in N; intended for N <= 200."""
+    n = ring.modulus
+    k = ring.canon(k)
+    if k == 0:
+        raise ValueError("k must be nonzero")
+    r, _ = minimal_size(ring, k)
+    # prefix[t] = M(k)**t as entry tuples, t = 1 .. r-3
+    prefix = []
+    a, b, c, d = k, n - 1, 1, 0
+    for _ in range(max(r - 3, 0)):
+        prefix.append((a, b, c, d))
+        a, b, c, d = (k * a - c) % n, (k * b - d) % n, a, b
+    for t, (pa, pb, pc, pd) in enumerate(prefix, start=1):
+        for x in range(n):
+            # M(x) * P * M(x) with M(x) = [[x,-1],[1,0]]
+            qa, qb = (x * pa - pc) % n, (x * pb - pd) % n
+            wb = (n - qa) % n
+            if wb != 0:
+                continue
+            wa = (qa * x + qb) % n
+            qc, qd = pa, pb
+            wc = (qc * x + qd) % n
+            wd = (n - qc) % n
+            if wc == 0 and wa == wd and wa in (1, n - 1):
+                return ReductionWitness(x, t + 2, 1 if wa == 1 else -1)
+    return None
+
+
+def units_only(ring: ResidueRing) -> bool:
+    """Does irreducibility coincide exactly with invertibility?
+    (Holds precisely for N = 2 and odd prime powers.)"""
+    n = ring.modulus
+    return reducible_set(ring) == [k for k in range(1, n) if gcd(k, n) != 1]
+
+
+def survey_spot_check(max_prime: int, sample_den: int) -> tuple[list[int], list[dict]]:
+    """The prime survey's survivors and the anomalies of a deterministic
+    spot check.
+
+    Walks the (p, k) pairs scan.scan_conjecture examines, stopping each
+    prime at its first k with r = 2 mod 4.  A pair with
+    (p*1009 + k*101) % sample_den == 0 is recomputed with the generic
+    walk, and reported when the walk's (r, eps) differs from
+    minimal_size_prime_fast's or its r = 2 mod 4 verdict from
+    _size_is_2_mod_4's.  Both are read from scan, the survey's own
+    bindings, so a fault patched in there shows here.  The survivors
+    must equal scan_conjecture(max_prime)'s."""
+    survivors = []
+    anomalies: list[dict] = []
+    for p in sieve_primes(max_prime)[1:]:  # the odd primes
+        for k in range(1, (p - 1) // 2 + 1):
+            hit = scan._size_is_2_mod_4(p, k)
+            if (p * 1009 + k * 101) % sample_den == 0:
+                fast = scan.minimal_size_prime_fast(p, k)
+                walked = minimal_size(ResidueRing(p), k)
+                if walked != fast or hit != (walked[0] % 4 == 2):
+                    anomalies.append(
+                        {"p": p, "k": k, "fast": list(fast), "walk": list(walked)}
+                    )
+            if hit:
+                break
+        else:
+            survivors.append(p)
+    assert survivors == scan.scan_conjecture(max_prime), max_prime
+    return survivors, anomalies

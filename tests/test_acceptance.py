@@ -25,7 +25,6 @@ from monomod.construct import witness_prop36, witness_prop51
 from monomod.modring import ResidueRing
 from monomod.monomial import (
     find_reduction,
-    find_reduction_naive,
     minimal_size,
     minimal_size_prime_fast,
 )
@@ -34,9 +33,9 @@ from monomod.scan import (
     emit_appendix,
     run_scan,
     scan_conjecture,
-    scan_conjecture_checked,
     semi_family,
 )
+from oracles import find_reduction_naive, survey_spot_check
 
 
 def test_criterion_01_omega_table_for_two_three_moduli():
@@ -294,7 +293,7 @@ def _suite_length_four_families(max_n: int) -> None:
 
 
 def _suite_conjecture_spot_check() -> None:
-    primes, anomalies = scan_conjecture_checked(60000, sample_den=100)
+    primes, anomalies = survey_spot_check(60000, sample_den=100)
     assert primes == [3, 5, 7, 17, 31, 127, 257, 8191]
     assert anomalies == []
 

@@ -15,7 +15,6 @@ from monomod.classify import (
     decide_monomial,
     decide_quasi,
     decide_semi,
-    euler_phi,
     omega_count,
     predict_conjecture,
     predict_monomial,
@@ -27,10 +26,11 @@ from monomod.classify import (
     semi_candidates,
     semi_family,
     sizes_table,
-    units_only,
 )
+from monomod._numbers import euler_phi
 from monomod.modring import ResidueRing
 from monomod.monomial import find_reduction, minimal_size_prime_fast
+from oracles import units_only
 
 
 def test_decide_monomial_examples():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -744,6 +745,27 @@ def test_package_reexports_every_module_surface():
         for name in getattr(module, "__all__", ()):
             assert name in monomod.__all__, f"{module.__name__}.{name}"
             assert getattr(monomod, name) is getattr(module, name), name
+
+
+def test_oracles_and_dead_code_left_the_library():
+    """The oracles live in tests/oracles.py, the unused CRT helpers are
+    gone, euler_phi stays private to _numbers, and the survey has no
+    sampling knob."""
+    gone = {
+        "monomial": ("find_reduction_naive",),
+        "classify": ("units_only",),
+        "scan": ("scan_conjecture_checked",),
+        "construct": ("crt",),
+        "_numbers": ("crt", "crt_pair"),
+    }
+    for module_name, names in gone.items():
+        module = importlib.import_module(f"monomod.{module_name}")
+        for name in names:
+            assert not hasattr(module, name), f"{module_name}.{name}"
+            assert name not in monomod.__all__, name
+    assert "euler_phi" not in monomod.__all__
+    assert "euler_phi" not in monomod.classify.__all__
+    assert list(inspect.signature(scan.scan_conjecture).parameters) == ["max_prime"]
 
 
 def _readme_examples() -> list:

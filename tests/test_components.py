@@ -73,7 +73,7 @@ def test_omega_equals_the_k_loop(lo):
         assert omega_count(ResidueRing(n)) == loop_omega(n), n
 
 
-@pytest.mark.parametrize("n", [1458, 2500, 2916, 3072, 4374, 4802])
+@pytest.mark.parametrize("n", [1458, 2187, 2401, 2500, 2916, 3072, 3125, 4374, 4802])
 def test_omega_of_seeded_composites_equals_the_k_loop(n):
     assert omega_count(ResidueRing(n)) == loop_omega(n)
 
@@ -85,3 +85,6 @@ def test_omega_far_past_the_tables():
     for p in (10**9 + 7, 2**31 - 1):
         assert is_prime(p)
         assert omega_count(ResidueRing(p)) == p - 1
+    # an odd prime power counts its units (Lemma 4.1 reduces the rest);
+    # the k-loop would make 3**13 // 2 find_reduction calls
+    assert omega_count(ResidueRing(3**13)) == 1062882

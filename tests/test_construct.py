@@ -10,7 +10,6 @@ import pytest
 from monomod.classify import decide_quasi
 from monomod import construct, core
 from monomod.construct import (
-    crt,
     reducible_k_prop34,
     witness_lemma41,
     witness_prop34,
@@ -20,14 +19,6 @@ from monomod.construct import (
 from monomod.modring import ResidueRing
 from monomod.monomial import minimal_size, report
 from monomod.solutions import ModTuple, solution_sign
-
-
-def test_crt_examples():
-    assert crt([(1, 3), (2, 5)]) == 7
-    assert crt([(2, 3), (-2, 5)]) == 8
-    assert crt([(5, 9)]) == 5
-    with pytest.raises(ValueError):
-        crt([(1, 6), (1, 4)])
 
 
 def test_prop36_small_example():

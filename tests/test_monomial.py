@@ -18,12 +18,12 @@ from monomod.modring import ResidueRing, chain, identity, monomial_power, pm_id
 from monomod.monomial import (
     ReductionWitness,
     find_reduction,
-    find_reduction_naive,
     minimal_size,
     minimal_size_prime_fast,
     report,
 )
 from monomod.solutions import ModTuple, bordered_constraint_roots, solution_sign
+from oracles import find_reduction_naive
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,6 @@ import sympy
 from hypothesis import given, strategies as st
 
 from monomod._numbers import (
-    crt,
-    crt_pair,
     divisors,
     egcd,
     euler_phi,
@@ -36,31 +34,6 @@ def test_inv_mod_inverts_units(n, a):
     else:
         with pytest.raises(ValueError):
             inv_mod(a, n)
-
-
-def test_crt_examples():
-    assert crt([(1, 3), (2, 5)]) == (7, 15)
-    assert crt([(2, 3), (-2, 5)]) == (8, 15)
-    assert crt([(4, 9)]) == (4, 9)
-
-
-def test_crt_rejects_bad_input():
-    with pytest.raises(ValueError):
-        crt([])
-    with pytest.raises(ValueError):
-        crt_pair(1, 6, 2, 4)
-
-
-@given(st.integers(2, 500), st.integers(2, 500), st.data())
-def test_crt_pair_round_trip(n1, n2, data):
-    if math.gcd(n1, n2) != 1:
-        return
-    a1 = data.draw(st.integers(0, n1 - 1))
-    a2 = data.draw(st.integers(0, n2 - 1))
-    x, n = crt_pair(a1, n1, a2, n2)
-    assert n == n1 * n2
-    assert 0 <= x < n
-    assert x % n1 == a1 and x % n2 == a2
 
 
 def test_divisors_match_brute_force():

@@ -24,9 +24,9 @@ from monomod.scan import (
     rows_to_csv,
     run_scan,
     scan_conjecture,
-    scan_conjecture_checked,
 )
 from monomod._numbers import euler_phi, sieve_primes
+from oracles import survey_spot_check
 
 
 def test_scan_job_validates_fields():
@@ -669,7 +669,7 @@ def test_conjecture_examples():
 
 
 def test_conjecture_sampled_cross_check_is_clean():
-    primes, anomalies = scan_conjecture_checked(2000, sample_den=3)
+    primes, anomalies = survey_spot_check(2000, sample_den=3)
     assert primes == [3, 5, 7, 17, 31, 127, 257]
     assert anomalies == []
 
@@ -682,7 +682,7 @@ def test_conjecture_check_reports_a_fast_size_the_walk_disagrees_with(monkeypatc
         return (r + 1, eps) if (p, k) == (5, 1) else (r, eps)
 
     monkeypatch.setattr(scan, "minimal_size_prime_fast", wrong_at_5_1)
-    _, anomalies = scan_conjecture_checked(13, sample_den=1)  # every pair is sampled
+    _, anomalies = survey_spot_check(13, sample_den=1)  # every pair is sampled
     assert anomalies == [{"p": 5, "k": 1, "fast": [4, -1], "walk": [3, -1]}]
 
 
@@ -694,7 +694,7 @@ def test_conjecture_check_reports_a_wrong_two_part_verdict(monkeypatch):
 
     monkeypatch.setattr(scan, "_size_is_2_mod_4", wrong_at_11_5)
     # (11, 5) is 11's only k with r = 2 mod 4, so 11 wrongly survives
-    primes, anomalies = scan_conjecture_checked(13, sample_den=1)
+    primes, anomalies = survey_spot_check(13, sample_den=1)
     assert primes == [3, 5, 7, 11]
     assert anomalies == [{"p": 11, "k": 5, "fast": [6, -1], "walk": [6, -1]}]
 

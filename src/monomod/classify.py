@@ -250,19 +250,15 @@ def reducible_set(ring: ResidueRing) -> list[int]:
 def omega_count(ring: ResidueRing) -> int:
     """Number of k in [1, N) whose minimal solution is irreducible.
 
-    Counted per signature class of the prime-power components of N (see
-    the components module), except for N = p**e with e >= 2, where a
-    component table would walk every multiple of p.  For odd p the
-    count is phi(N): a unit k is irreducible, since x*(x-k) = 0 mod p**e
-    forces x in {0, k}, and every nonzero non-unit k = a*p**t is
-    reducible by the paper's Lemma 4.1 (construct.witness_lemma41).
-    Powers of 2 keep the k-loop of reducible_set, which skips every unit
-    at once on its root count."""
+    An odd N = p**e with e >= 2 gives phi(N): a unit k is irreducible,
+    since x*(x-k) = 0 mod p**e forces x in {0, k}, and every nonzero
+    non-unit k = a*p**t is reducible by the paper's Lemma 4.1
+    (construct.witness_lemma41).  Every other N is counted per
+    signature class of its prime-power components (see the components
+    module); the k-loop of reducible_set is the oracle."""
     parts = [(p, e) for p, e, _ in ring.crt_idempotents]
-    if len(parts) == 1 and parts[0][1] >= 2:
-        if parts[0][0] != 2:
-            return euler_phi(ring.modulus)
-        return ring.modulus - 1 - len(reducible_set(ring))
+    if len(parts) == 1 and parts[0][0] != 2 and parts[0][1] >= 2:
+        return euler_phi(ring.modulus)
     return components.omega(parts)
 
 

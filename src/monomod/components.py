@@ -39,14 +39,16 @@ k = 0 is never reducible: consecutive a_t of M(0) are 1, 0, -1, 0, so
 every hit has x = 0 = k in each component.  So omega is the number of
 irreducible residues mod N, minus one.
 
-Tables, {signature: count} over all k mod q:
+Tables, {signature: count} over all k mod q: units from the order of
+M, non-units from one walk per p-adic valuation.
 
-  * Unit k mod q: p cannot divide both x and x - k, whose difference
-    is k, so x*(x-k) = 0 mod p**e forces x = 0 or x = k, and the hits are
-    exactly where M**t or M**(t+2) is +/-Id: (-1, 0, T, F) and
-    (+1, O-2, F, T), and with M**(O/2) = -Id also (+1, O/2, T, F)
-    and (-1, O/2-2, F, T).  The signature is fixed by O and whether
-    -Id is a power of M.
+  * Unit k mod q, q > 2: p cannot divide both x and x - k, whose
+    difference is k, so x*(x-k) = 0 mod p**e forces x = 0 or x = k,
+    and the hits are exactly where M**t or M**(t+2) is +/-Id:
+    (-1, 0, T, F) and (+1, O-2, F, T), and with M**(O/2) = -Id also
+    (+1, O/2, T, F) and (-1, O/2-2, F, T).  The signature is fixed by
+    O and whether -Id is a power of M.  For q = 2, 1 = -1 makes every
+    hit one of both signs, so both residues mod 2 are walked.
   * Odd p, unit k not +/-2 mod p: M mod p has distinct eigenvalues
     lambda, 1/lambda in F_p* or in the norm-1 torus of F_{p**2}, of
     order d dividing p - 1 or p + 1, and the phi(d)/2 pairs of order
@@ -60,15 +62,38 @@ Tables, {signature: count} over all k mod q:
     each class of order d lifts to 1 residue of order d and
     p**j - p**(j-1) of order d*p**j, 1 <= j < e.  The cyclic group
     holds one element of order 2, -1, so -Id is a power iff d is even.
-  * Odd p, k = +/-2 mod p: M = +/-(Id + nilpotent) mod p has order
-    o0 = p (k = 2) or 2p (k = -2), and M**o0 = Id + p*A with
-    (Id + p*A)**(p**j) = Id + p**(j+1)*A_j for odd p, so O = o0*p**j
-    for the least j < e with M**(o0*p**j) = Id: one core.power_pm per
-    j < e - 1, and j = e - 1 needs no test.  For k = 2, O is odd, so no
-    power is -Id.  For k = -2, -M has odd order O/2, so
-    M**(O/2) = (-1)**(O/2)*Id = -Id.
-  * Multiples of p, and every residue mod 2**e: one walk each, to the
-    order of M up to sign (M has finite order, so it ends).
+  * The ladder: odd p with k = +/-2 mod p, and p = 2 with k odd,
+    e >= 2.  M mod p has order o0: p for k = 2 and 2p for k = -2
+    (M = +/-(Id + nilpotent)), and 3 for p = 2 (M(k) = M(1) mod 2).
+    The kernel of SL_2(Z/p**e) -> SL_2(Z/p) has exponent p**(e-1),
+    since (Id + p**i*A)**p = Id + p**(i+1)*A' for i >= 1, p = 2
+    included, so O = o0*p**j for the least j < e with M**(o0*p**j) =
+    Id: one core.power_pm per j < e - 1, and j = e - 1 needs no test.
+    <M> is cyclic of order O, so -Id (not Id, as q > 2) is a power iff
+    O is even and M**(O/2) = -Id, one more core.power_pm.
+  * Non-units: k = p**v * u, u a unit, 1 <= v <= e - 1 (so e >= 2),
+    y = k*k.  The signature depends on v alone, so k = p**v is walked
+    once for the (p-1)*p**(e-v-1) residues of valuation v, and k = 0
+    once for itself.  Proof: a_t is a polynomial in k of the parity of
+    t, and with C the binomial coefficient,
+        a_{2j} = (-1)**j * (1 + A_j),  a_{2j-1} = (-1)**(j-1) * k * B_j,
+        A_j = sum_{i>=1} (-1)**i * C(j+i, 2i) * y**i,
+        B_j = sum_{i>=0} (-1)**i * C(j+i, 2i+1) * y**i.
+    An odd t is no hit, as p | k | a_t.  v_p(A_j) >= 2v >= 2 rules out
+    A_j = -2 mod p**e, so t = 2j is a hit iff v_p(A_j) >= e, with sign
+    s = -(-1)**j; there x = a_{2j}*a_{2j-1} = -k*B_j, so x = 0 iff
+    v + v_p(B_j) >= e and x = k iff v + v_p(B_j + 1) >= e; and
+    M**(2j) = Id iff moreover x = 0 and j is even (A_j = -2 again
+    being impossible).  Each valuation depends on j and v only:
+        v_p(A_j) = v_p(j*(j+1)/2) + 2v,  v_p(B_j) = v_p(j),
+        v_p(B_j + 1) = v_p(j+1).
+    Against the leading terms (i = 1 in A_j, i = 0 in B_j), the term i
+    gains at least 2(i-1)v + v_p(2) - v_p((2i)!) in A_j, and
+    2iv - v_p((2i+1)!) in B_j and B_j + 1, since the numerators of
+    C(j+i, 2i) and C(j+i, 2i+1) hold the factors j and j + 1.  With
+    v >= 1, v_p(n!) <= (n-1)/(p-1) and v_2((2i+1)!) = v_2((2i)!), that
+    gain is positive, except in A_j for p = 2, where it can be 0; there
+    the numerator also holds j - 1 and j + 2, and one of them is even.
 """
 
 from __future__ import annotations
@@ -113,8 +138,8 @@ def walk_signature(q: int, k: int) -> Signature:
 
 
 def unit_signature(order: int, minus_id: bool) -> Signature:
-    """The signature of a unit k mod an odd q whose M(k) has this order,
-    with -Id among its powers or not."""
+    """The signature of a unit k mod any q > 2 whose M(k) has this
+    order, with -Id among its powers or not."""
     hits = {(-1, 0, True, False), (1, order - 2, False, True)}
     if minus_id:
         half = order // 2
@@ -123,12 +148,16 @@ def unit_signature(order: int, minus_id: bool) -> Signature:
 
 
 def component_table(p: int, e: int) -> Counter[Signature]:
-    """{signature: count} over all k mod p**e."""
+    """{signature: count} over all k mod p**e: e walks (2 for q = 2),
+    the other classes from the orders of M (see the module docstring)."""
     q = p**e
-    if p == 2:
-        return Counter(walk_signature(q, k) for k in range(q))
-    table: Counter[Signature] = Counter()
-    for side in (p - 1, p + 1):
+    table = Counter({walk_signature(q, 0): 1})
+    for v in range(1, e):
+        table[walk_signature(q, p**v)] += (p - 1) * p ** (e - v - 1)
+    if q == 2:  # 1 = -1, so unit_signature does not apply
+        table[walk_signature(q, 1)] += 1
+        return table
+    for side in (p - 1, p + 1) if p > 2 else ():  # mod 2 every unit is on the ladder
         for d in divisors(side):
             if d <= 2 or d == 4:
                 continue
@@ -137,15 +166,14 @@ def component_table(p: int, e: int) -> Counter[Signature]:
             for j in range(1, e):
                 lifts = classes * (p**j - p ** (j - 1))
                 table[unit_signature(d * p**j, d % 2 == 0)] += lifts
-    for base, o0 in ((2, p), (p - 2, 2 * p)):
+    for base, o0 in ((1, 3),) if p == 2 else ((2, p), (p - 2, 2 * p)):
         most = o0 * p ** (e - 1)  # every order divides it
         for k in range(base, q, p):
             order = o0
             while order < most and core.power_pm(q, k, order) != 1:
                 order *= p
-            table[unit_signature(order, base != 2)] += 1
-    for k in range(0, q, p):
-        table[walk_signature(q, k)] += 1
+            minus_id = order % 2 == 0 and core.power_pm(q, k, order // 2) == -1
+            table[unit_signature(order, minus_id)] += 1
     return table
 
 

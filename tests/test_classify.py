@@ -166,6 +166,8 @@ def test_predict_reducible_set_examples():
 def test_omega_count_examples():
     assert omega_count(ResidueRing(6)) == 5
     assert omega_count(ResidueRing(54)) == 39
+    assert omega_count(ResidueRing(16)) == 13
+    assert omega_count(ResidueRing(64)) == 49
     # odd prime powers: the irreducible k are exactly the units
     for q in (27, 49, 121):
         assert omega_count(ResidueRing(q)) == euler_phi(q)

@@ -38,14 +38,34 @@ def test_walk_hits_equal_matrix_products(q):
         assert components.walk_signature(q, k) == brute_signature(q, k), k
 
 
-ODD_PRIME_POWERS = [q for q in range(3, 201, 2) if prime_power(q) is not None]
+# every prime power to 200, and past it every p**e with e >= 2 to 1100,
+# where the non-unit classes and the ladders have several levels
+TABLE_MODULI = [
+    q
+    for q in range(2, 1101)
+    if (pe := prime_power(q)) is not None and (q <= 200 or pe[1] >= 2)
+]
 
 
-@pytest.mark.parametrize("q", ODD_PRIME_POWERS)
+@pytest.mark.parametrize("q", TABLE_MODULI)
 def test_closed_form_table_equals_walked_signatures(q):
     p, e = prime_power(q)
     walked = Counter(components.walk_signature(q, k) for k in range(q))
     assert components.component_table(p, e) == walked
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 7), (3, 1), (3, 5), (5, 3), (7, 2)])
+def test_a_table_walks_once_per_valuation(monkeypatch, p, e):
+    walk, walked = components.walk_signature, []
+
+    def spy(q, k):
+        walked.append(k)
+        return walk(q, k)
+
+    monkeypatch.setattr(components, "walk_signature", spy)
+    components.component_table(p, e)
+    # k = 0 and k = p**v for 1 <= v < e; mod 2 the unit 1 as well
+    assert sorted(walked) == ([0, 1] if p**e == 2 else [0] + [p**v for v in range(1, e)])
 
 
 def test_merge_equals_the_walk_of_the_product():
@@ -73,7 +93,9 @@ def test_omega_equals_the_k_loop(lo):
         assert omega_count(ResidueRing(n)) == loop_omega(n), n
 
 
-@pytest.mark.parametrize("n", [1458, 2187, 2401, 2500, 2916, 3072, 3125, 4374, 4802])
+@pytest.mark.parametrize(
+    "n", [1458, 2048, 2187, 2401, 2500, 2916, 3072, 3125, 4096, 4374, 4802, 6144]
+)
 def test_omega_of_seeded_composites_equals_the_k_loop(n):
     assert omega_count(ResidueRing(n)) == loop_omega(n)
 
@@ -88,3 +110,7 @@ def test_omega_far_past_the_tables():
     # an odd prime power counts its units (Lemma 4.1 reduces the rest);
     # the k-loop would make 3**13 // 2 find_reduction calls
     assert omega_count(ResidueRing(3**13)) == 1062882
+    # 2**e and 3**8 components, through the fold; the k-loop takes
+    # about 90 s for 2**16, so the values are pinned
+    for n, omega in ((12288, 9221), (13122, 8751), (2**14, 12289), (2**16, 49153)):
+        assert omega_count(ResidueRing(n)) == omega, n

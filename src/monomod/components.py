@@ -1,11 +1,15 @@
-"""omega(N) by a fold over the prime-power components of N.
+"""Irreducible residues counted by a fold over the prime-power
+components of N.
 
 Whether k is reducible mod N depends only on k mod each q = p**e
 exactly dividing N, through a small signature; residues with equal
-signatures are counted together, so omega(N) costs a few tables per
-component and one product of them, not one walk per k.
-classify.omega_count is the one caller; the k-loop of
-classify.reducible_set is the oracle.
+signatures are counted together, so a count costs a few tables per
+component and one product of them, not one walk per k.  One fold,
+irreducible_count, counts over any classes given per component:
+omega(N) over every residue (for classify.omega_count, whose oracle is
+the k-loop of classify.reducible_set), and the semi candidates of an
+even N over the units of each odd q and the k with v_2(k) = 1 mod 2**a
+(for classify.decide_semi, whose oracle is its own candidate loop).
 
 Hits.  With M = M(k) and a_t as in the core module (a_{-1} = 0,
 a_0 = 1, M**t = [[a_t, -a_{t-1}], [a_{t-1}, ...]]), the core match rule
@@ -40,7 +44,8 @@ every hit has x = 0 = k in each component.  So omega is the number of
 irreducible residues mod N, minus one.
 
 Tables, {signature: count} over all k mod q: units from the order of
-M, non-units from one walk per p-adic valuation.
+M (unit_table), non-units from one walk per p-adic valuation
+(valuation_table); component_table is their sum.
 
   * Unit k mod q, q > 2: p cannot divide both x and x - k, whose
     difference is k, so x*(x-k) = 0 mod p**e forces x = 0 or x = k,
@@ -104,7 +109,8 @@ from math import gcd
 from . import core
 from ._numbers import divisors, euler_phi, inv_mod
 
-# classify.omega_count is the one caller, so nothing here is public.
+# classify.omega_count and classify.decide_semi are the callers, so
+# nothing here is public.
 __all__: list[str] = []
 
 Hit = tuple[int, int, bool, bool]  # (s, t, x = 0?, x = k?)
@@ -147,16 +153,13 @@ def unit_signature(order: int, minus_id: bool) -> Signature:
     return order, frozenset(hits)
 
 
-def component_table(p: int, e: int) -> Counter[Signature]:
-    """{signature: count} over all k mod p**e: e walks (2 for q = 2),
-    the other classes from the orders of M (see the module docstring)."""
+def unit_table(p: int, e: int) -> Counter[Signature]:
+    """{signature: count} over the units mod p**e, from the orders of M
+    (see the module docstring); mod 2 the one unit is walked."""
     q = p**e
-    table = Counter({walk_signature(q, 0): 1})
-    for v in range(1, e):
-        table[walk_signature(q, p**v)] += (p - 1) * p ** (e - v - 1)
     if q == 2:  # 1 = -1, so unit_signature does not apply
-        table[walk_signature(q, 1)] += 1
-        return table
+        return Counter({walk_signature(q, 1): 1})
+    table: Counter[Signature] = Counter()
     for side in (p - 1, p + 1) if p > 2 else ():  # mod 2 every unit is on the ladder
         for d in divisors(side):
             if d <= 2 or d == 4:
@@ -174,6 +177,25 @@ def component_table(p: int, e: int) -> Counter[Signature]:
                 order *= p
             minus_id = order % 2 == 0 and core.power_pm(q, k, order // 2) == -1
             table[unit_signature(order, minus_id)] += 1
+    return table
+
+
+def valuation_table(p: int, e: int, v: int) -> dict[Signature, int]:
+    """{signature: count} over the k mod p**e of p-adic valuation v,
+    1 <= v <= e (v = e is k = 0 alone), from one walk (see the module
+    docstring)."""
+    q = p**e
+    if v == e:
+        return {walk_signature(q, 0): 1}
+    return {walk_signature(q, p**v): (p - 1) * p ** (e - v - 1)}
+
+
+def component_table(p: int, e: int) -> Counter[Signature]:
+    """{signature: count} over all k mod p**e: the units and each
+    valuation, e walks in all (2 for q = 2)."""
+    table = unit_table(p, e)
+    for v in range(1, e + 1):
+        table.update(valuation_table(p, e, v))  # adds the counts
     return table
 
 
@@ -205,11 +227,13 @@ def reducible(one: Signature, two: Signature) -> bool:
     return False
 
 
-def omega(parts: list[tuple[int, int]]) -> int:
-    """Number of k in [1, N) with irreducible minimal solution, for
-    N = the product of p**e over parts (distinct primes).  The largest
-    table comes last, where each pair is only tested, not merged."""
-    tables = sorted((component_table(p, e) for p, e in parts), key=len)
+def irreducible_count(tables: list[dict[Signature, int]]) -> int:
+    """Number of residues k mod N with irreducible minimal solution
+    among the classes the tables count, one table per prime-power
+    component of N: a k is counted when each of its components lies in
+    the classes of that component's table.  The largest table comes
+    last, where each pair is only tested, not merged."""
+    tables = sorted(tables, key=len)
     folded = Counter({EMPTY_PRODUCT: 1})
     for table in tables[:-1]:
         merged: Counter[Signature] = Counter()
@@ -217,10 +241,9 @@ def omega(parts: list[tuple[int, int]]) -> int:
             for two, times in table.items():
                 merged[merge(one, two)] += count * times
         folded = merged
-    irreducible = sum(
+    return sum(
         count * times
         for one, count in folded.items()
         for two, times in tables[-1].items()
         if not reducible(one, two)
     )
-    return irreducible - 1  # k = 0

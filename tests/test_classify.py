@@ -297,3 +297,27 @@ def test_nothing_above_half_the_modulus_is_walked(monkeypatch):
         units_only(ring)
     scan.emit_appendix("C")
     assert {n for n, _ in calls} == set(range(2, 121)) | set(scan.APPENDIX_C_MODULI)
+
+
+# decide_semi folds first for even N from SEMI_FOLD_FROM on; classify._decide
+# is the loop alone, which it must equal verdict, counterexample and
+# checked_k included.
+
+
+@pytest.mark.parametrize("lo", range(2, 1501, 250))
+def test_decide_semi_equals_the_loop_alone(lo):
+    for n in range(lo, min(lo + 250, 1501)):
+        ring = ResidueRing(n)
+        loop = classify._decide(ring, "semi", semi_candidates(ring))
+        assert decide_semi(ring) == loop, n
+
+
+@pytest.mark.parametrize("n", [768, 2 * 3**5, 2**16])
+def test_a_true_even_verdict_above_the_crossover_walks_nothing(monkeypatch, n):
+    assert n % 2 == 0 and n >= classify.SEMI_FOLD_FROM
+    calls = []
+    monkeypatch.setattr(classify, "find_reduction", lambda ring, k: calls.append(k))
+    ring = ResidueRing(n)
+    verdict = decide_semi(ring)
+    assert calls == []
+    assert verdict == ClassVerdict(n, "semi", True, None, tuple(semi_candidates(ring)))

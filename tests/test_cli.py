@@ -374,6 +374,15 @@ def test_classify_kinds(capsys):
     assert obj["checked_k"] == [2, 4, 8, 14, 16, 22, 26, 28]
 
 
+def test_classify_semi_far_past_the_tables(capsys):
+    # 4*17*31*127 (product closure) and 2**16, True verdicts the fold gives
+    # at once; the candidate loop took about 14 s for the first
+    for n, checked in ((267716, 60480), (65536, 16384)):
+        assert run(["classify", str(n), "--kind", "semi"]) == 0
+        out = capsys.readouterr().out
+        assert out == f"modulus={n} kind=semi verdict=true checked={checked}\n"
+
+
 def test_reduce_irreducible_text(capsys):
     assert run(["reduce", "30", "8"]) == 0
     assert capsys.readouterr().out.strip() == "irreducible"

@@ -54,6 +54,32 @@ def test_closed_form_table_equals_walked_signatures(q):
     assert components.component_table(p, e) == walked
 
 
+def valuation(q: int, p: int, k: int) -> int:
+    """v_p(k) for k mod q = p**e, with v_p(0) = e."""
+    v = 0
+    while p ** (v + 1) <= q and k % p ** (v + 1) == 0:
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 201) if prime_power(q) is not None])
+def test_unit_and_valuation_parts_equal_walked_signatures(q):
+    p, e = prime_power(q)
+
+    def walked(v: int) -> Counter:
+        return Counter(
+            components.walk_signature(q, k) for k in range(q) if valuation(q, p, k) == v
+        )
+
+    parts = [components.unit_table(p, e)]
+    parts += [components.valuation_table(p, e, v) for v in range(1, e + 1)]
+    total: Counter = Counter()
+    for v, part in enumerate(parts):
+        assert part == walked(v), v
+        total.update(part)
+    assert total == components.component_table(p, e)
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 7), (3, 1), (3, 5), (5, 3), (7, 2)])
 def test_a_table_walks_once_per_valuation(monkeypatch, p, e):
     walk, walked = components.walk_signature, []

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import components
 from ._numbers import euler_phi, is_prime, prime_power
 from .modring import ResidueRing
-from .monomial import ReductionWitness, _prime_size, find_reduction
+from .monomial import ReductionWitness, _prime_power_size, find_reduction
 
 __all__ = [
     "DECIDERS",
@@ -114,11 +114,15 @@ def decide_monomial(ring: ResidueRing) -> ClassVerdict:
     return _decide(ring, "monomial", range(1, ring.modulus))
 
 
+def _units(n: int) -> Iterator[int]:
+    """The units mod n in [1, n), ascending and lazily, so a decider
+    that stops early tests no further gcd."""
+    return (k for k in range(1, n) if gcd(k, n) == 1)
+
+
 def decide_quasi(ring: ResidueRing) -> ClassVerdict:
     """Is every invertible k irreducible?"""
-    n = ring.modulus
-    units = (k for k in range(1, n) if gcd(k, n) == 1)
-    return _decide(ring, "quasi", units)
+    return _decide(ring, "quasi", _units(ring.modulus))
 
 
 def semi_candidates(ring: ResidueRing) -> list[int]:
@@ -127,7 +131,7 @@ def semi_candidates(ring: ResidueRing) -> list[int]:
     0-monomial solution is handled by the k = 0 convention, not here."""
     n = ring.modulus
     if n % 2:  # 2 is a unit, so doubling permutes the units
-        return [a for a in range(1, n) if gcd(a, n) == 1]
+        return list(_units(n))
     # 2a mod N depends on a mod N/2 alone and base has the primes of
     # N/2, so a in [1, N/2) gives each value once, ascending
     base = n // 2 if n % 4 == 2 else n
@@ -292,4 +296,4 @@ def sizes_table(p: int) -> list[tuple[int, int]]:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     factors: dict[int, dict[int, int]] = {}  # p -+ 1 factored once for all rows
-    return [(k, _prime_size(p, k, factors)[0]) for k in range(1, (p - 1) // 2 + 1)]
+    return [(k, _prime_power_size(p, 1, k, factors)[0]) for k in range(1, (p - 1) // 2 + 1)]

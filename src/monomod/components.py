@@ -68,14 +68,12 @@ M (unit_table), non-units from one walk per p-adic valuation
     p**j - p**(j-1) of order d*p**j, 1 <= j < e.  The cyclic group
     holds one element of order 2, -1, so -Id is a power iff d is even.
   * The ladder: odd p with k = +/-2 mod p, and p = 2 with k odd,
-    e >= 2.  M mod p has order o0: p for k = 2 and 2p for k = -2
-    (M = +/-(Id + nilpotent)), and 3 for p = 2 (M(k) = M(1) mod 2).
-    The kernel of SL_2(Z/p**e) -> SL_2(Z/p) has exponent p**(e-1),
-    since (Id + p**i*A)**p = Id + p**(i+1)*A' for i >= 1, p = 2
-    included, so O = o0*p**j for the least j < e with M**(o0*p**j) =
-    Id: one core.power_pm per j < e - 1, and j = e - 1 needs no test.
-    <M> is cyclic of order O, so -Id (not Id, as q > 2) is a power iff
-    O is even and M**(O/2) = -Id, one more core.power_pm.
+    e >= 2.  Here the order of M mod p**e is not fixed by the class of
+    k mod p, so each residue takes its minimal size (r, eps) from
+    monomial._prime_power_size, a descent from a known multiple of the
+    order (proved there) by a few core.power_pm.  <M> is cyclic and
+    -Id != Id as q > 2, so -Id is a power iff eps = -1, and O = r for
+    eps = +1, 2r for eps = -1.
   * Non-units: k = p**v * u, u a unit, 1 <= v <= e - 1 (so e >= 2),
     y = k*k.  The signature depends on v alone, so k = p**v is walked
     once for the (p-1)*p**(e-v-1) residues of valuation v, and k = 0
@@ -106,8 +104,8 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd
 
-from . import core
 from ._numbers import divisors, euler_phi, inv_mod
+from .monomial import _prime_power_size
 
 # classify.omega_count and classify.decide_semi are the callers, so
 # nothing here is public.
@@ -155,7 +153,9 @@ def unit_signature(order: int, minus_id: bool) -> Signature:
 
 def unit_table(p: int, e: int) -> Counter[Signature]:
     """{signature: count} over the units mod p**e, from the orders of M
-    (see the module docstring); mod 2 the one unit is walked."""
+    (see the module docstring): in closed form per class of k mod p,
+    and on the ladder from each residue's minimal size; mod 2 the one
+    unit is walked."""
     q = p**e
     if q == 2:  # 1 = -1, so unit_signature does not apply
         return Counter({walk_signature(q, 1): 1})
@@ -169,14 +169,10 @@ def unit_table(p: int, e: int) -> Counter[Signature]:
             for j in range(1, e):
                 lifts = classes * (p**j - p ** (j - 1))
                 table[unit_signature(d * p**j, d % 2 == 0)] += lifts
-    for base, o0 in ((1, 3),) if p == 2 else ((2, p), (p - 2, 2 * p)):
-        most = o0 * p ** (e - 1)  # every order divides it
+    for base in (1,) if p == 2 else (2, p - 2):  # the ladder
         for k in range(base, q, p):
-            order = o0
-            while order < most and core.power_pm(q, k, order) != 1:
-                order *= p
-            minus_id = order % 2 == 0 and core.power_pm(q, k, order // 2) == -1
-            table[unit_signature(order, minus_id)] += 1
+            r, eps = _prime_power_size(p, e, k, {})
+            table[unit_signature(r if eps == 1 else 2 * r, eps == -1)] += 1
     return table
 
 

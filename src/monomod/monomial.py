@@ -120,12 +120,17 @@ def report(ring: ResidueRing, k: int) -> MonomialReport:
 
 
 def _multiple(p: int, k: int) -> int:
-    """A multiple g of the order of M(k) in SL_2(F_p), for k not +/-2
-    mod an odd p.  |SL_2(F_2)| = 6.  For odd p the eigenvalues
+    """A multiple g of the order of M(k) in SL_2(F_p), so M(k)**g = Id
+    mod p.  Mod 2, M(k) is M(0), of order 2, or M(1), of order 3.  For
+    odd p and k = +/-2, M = +/-(Id + A) with A nilpotent, so M**p = +/-Id:
+    g = p for k = 2 and 2p for k = -2.  Otherwise the eigenvalues
     (k +/- sqrt(k*k-4))/2 are distinct and, by Euler's criterion, lie in
     F_p* (order p - 1) or in the norm-1 torus of F_{p**2} (order p + 1)."""
+    k %= p
     if p == 2:
-        return 6
+        return 3 if k else 2
+    if k == 2 or k == p - 2:
+        return p if k == 2 else 2 * p
     return p - 1 if pow(k * k - 4, (p - 1) // 2, p) == 1 else p + 1
 
 
@@ -137,42 +142,53 @@ def _size_is_2_mod_4(p: int, k: int) -> bool:
     even r has eps = -1, and r = 2 mod 4 iff M(k) has order 4d, d odd, in
     SL_2(F_p).  With g = 2**a * m (see _multiple), m odd, that holds iff
     a >= 2 and M(k)**(2m) = -Id: the order divides 4m but not 2m.  One
-    power instead of the full order; k = +/-2 gives r = p, which is odd.
+    power instead of the full order; g = p or 2p (k = +/-2) is never
+    0 mod 4, and r = p there.
     """
-    k %= p
-    if k in (2, p - 2):
-        return False
     g = _multiple(p, k)
     return g % 4 == 0 and core.power_pm(p, k, 2 * g // (g & -g)) == -1
 
 
 def minimal_size_prime_fast(p: int, k: int) -> tuple[int, int]:
-    """minimal_size over a prime modulus, from a few powers of M(k).
-
-    The t with M(k)**t = +/-Id are the multiples of r, so r comes from a
-    multiple (see _multiple) by dividing out one prime at a time while
-    the power stays +/-Id, one core.power_pm each; no walk runs.  k = +/-2
-    mod an odd p gives r = p.  When only r mod 4 matters, as in the prime
-    survey, _size_is_2_mod_4 answers with one power.
+    """minimal_size over a prime modulus, from a few powers of M(k):
+    _prime_power_size with e = 1, so no walk runs.  When only r mod 4
+    matters, as in the prime survey, _size_is_2_mod_4 answers with one
+    power.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _prime_size(p, k, {})
+    return _prime_power_size(p, 1, k, {})
 
 
-def _prime_size(p: int, k: int, factors: dict[int, dict[int, int]]) -> tuple[int, int]:
-    """minimal_size_prime_fast(p, k) for a prime p, which is not checked.
-    factors maps each multiple already factored to its factorization and
-    gains the one this k needs, so a table of sizes over one prime that
-    passes the same dict for every k factors each of p -+ 1 at most once."""
-    k %= p
-    if p > 2 and k in (2, p - 2):
-        return (p, 1) if k == 2 else (p, -1)
+def _prime_power_size(
+    p: int, e: int, k: int, factors: dict[int, dict[int, int]]
+) -> tuple[int, int]:
+    """minimal_size(p**e, k) for a prime p, which is not checked, by
+    descent from a known multiple.
+
+    The kernel of SL_2(Z/p**e) -> SL_2(Z/p) has exponent p**(e-1), since
+    (Id + p**i*A)**p = Id + p**(i+1)*A' for i >= 1, p = 2 included; so
+    M(k)**(g*p**(e-1)) = Id with g from _multiple.  The t with
+    M(k)**t = +/-Id are the multiples of r, so r comes from that
+    multiple by dividing out one prime at a time while the power stays
+    +/-Id, one core.power_pm each.  Its primes are those of g and p,
+    and for g = 2, 3, p or 2p only 2 and p can leave: that g is the
+    order of M(k) mod p itself, so r mod p is g or g/2 and divides r.
+    factors maps each g = p -+ 1 already factored to its factorization
+    and gains the one this k needs, so a table over one prime that
+    passes the same dict for every k factors each of p -+ 1 at most once.
+    """
     g = _multiple(p, k)
-    if g not in factors:
-        factors[g] = factorize(g)
-    r, eps = g, 1  # M(k)**g = Id
-    for q in factors[g]:
-        while r % q == 0 and (s := core.power_pm(p, k, r // q)):
-            r, eps = r // q, s
+    if p > 2 and g % p:  # p -+ 1
+        if g not in factors:
+            factors[g] = factorize(g)
+        primes = {*factors[g], p}
+    else:
+        primes = {2, p}
+    q = p**e
+    r, eps = g * p ** (e - 1), 1  # M(k)**r = Id
+    for f in primes:
+        # r // f = 1 needs no power: M(k) itself is never +/-Id
+        while r % f == 0 and r > f and (s := core.power_pm(q, k, r // f)):
+            r, eps = r // f, s
     return r, eps

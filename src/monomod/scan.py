@@ -354,7 +354,10 @@ def emit_appendix(which: str, *, workers: int = 1) -> list[dict]:
     """
     if which not in APPENDICES:
         raise ValueError(f"appendix must be one of {', '.join(APPENDICES)}; got {which!r}")
-    if workers < 1:  # B and C run no ScanJob to check it
+    # checked as ScanJob checks it, since B and C run no ScanJob
+    if type(workers) is not int:  # True is a bool, not the int 1
+        raise ValueError("workers must be an integer")
+    if workers < 1:
         raise ValueError("workers must be >= 1")
     if which == "A":
         result = run_scan(ScanJob(kind="quasi", lo=2, hi=1000, workers=workers))

@@ -171,6 +171,17 @@ def test_fast_path_equals_walk_for_small_primes():
             assert minimal_size_prime_fast(p, k) == minimal_size(ring, k), (p, k)
 
 
+@pytest.mark.parametrize("q", [q for q in range(2, 601) if prime_power(q) is not None])
+def test_prime_power_descent_equals_the_walk(q):
+    """The descent from g * p**(e-1) against core.order_pm, for every k
+    mod q: units and non-units, the k = +/-2 ladders and p = 2."""
+    p, e = prime_power(q)
+    factors: dict[int, dict[int, int]] = {}
+    for k in range(q):
+        want = core.order_pm(q, k, q**3 + 1)
+        assert monomial._prime_power_size(p, e, k, factors) == want, k
+
+
 def test_two_part_test_equals_the_full_size_for_small_primes():
     for p in sieve_primes(600)[1:]:
         for k in range(p):

@@ -791,6 +791,14 @@ def test_every_appendix_rejects_workers_below_one(which, workers):
         emit_appendix(which, workers=workers)
 
 
+@pytest.mark.parametrize("which", scan.APPENDICES)
+@pytest.mark.parametrize("workers", [True, 2.5, "2", None])
+def test_every_appendix_rejects_workers_that_are_not_ints(which, workers):
+    # before any table is built, as ScanJob checks its own field
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        emit_appendix(which, workers=workers)
+
+
 def test_rows_to_csv_flattens_structures():
     rows = [
         {"N": 10, "kind": "quasi", "verdict": True},

@@ -81,11 +81,13 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """Every positive divisor of n, ascending, from its factorization."""
-    out = [1]
+def divisor_phis(n: int) -> list[tuple[int, int]]:
+    """(d, euler_phi(d)) for every positive divisor d of n, ascending,
+    from one factorization of n."""
+    out = [(1, 1)]
     for p, e in factorize(n).items():
-        out = [d * p**i for d in out for i in range(e + 1)]
+        powers = [(1, 1)] + [(p**i, p**i - p ** (i - 1)) for i in range(1, e + 1)]
+        out = [(d * f, phi * g) for d, phi in out for f, g in powers]
     return sorted(out)
 
 

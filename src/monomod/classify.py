@@ -29,6 +29,7 @@ most N/2: deciders and counts call find_reduction only for 2k <= N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 from typing import Callable, Iterable, Iterator
 
@@ -132,10 +133,16 @@ def semi_candidates(ring: ResidueRing) -> list[int]:
     n = ring.modulus
     if n % 2:  # 2 is a unit, so doubling permutes the units
         return list(_units(n))
-    # 2a mod N depends on a mod N/2 alone and base has the primes of
-    # N/2, so a in [1, N/2) gives each value once, ascending
-    base = n // 2 if n % 4 == 2 else n
-    return [2 * a for a in range(1, n // 2) if gcd(a, base) == 1]
+    # 2a mod N depends on a mod N/2 alone, so a in [1, N/2) coprime to
+    # N/2 gives each value once, ascending; N/2 has the primes of N, but
+    # 2 only when 4 | N.  A sieve strikes each prime's multiples.
+    half = n // 2
+    coprime = bytearray([1]) * half
+    coprime[0] = 0
+    for p, _, _ in ring.crt_idempotents:
+        if p > 2 or n % 4 == 0:
+            coprime[::p] = bytes(len(range(0, half, p)))
+    return [2 * a for a in compress(range(half), coprime)]
 
 
 def decide_semi(ring: ResidueRing) -> ClassVerdict:

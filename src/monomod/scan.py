@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
+from . import components
 from ._numbers import euler_phi, sieve_primes
 from .classify import (
     DECIDERS,
@@ -215,8 +216,11 @@ def run_scan(
     range.  The pool has at most min(workers, chunks, CPUs) processes
     and holds at most 2 * workers chunks, so the first row comes as
     soon as the first chunk is done, whatever the range; one worker
-    runs in this process.
+    runs in this process.  The component tables and pair tests are
+    cached for the scan alone: emptied here, before a pool forks, so a
+    scan does the same work whatever ran before it in the process.
     """
+    components.clear_caches()
     if max_chunks is not None:
         if type(max_chunks) is not int:
             raise ValueError("max_chunks must be an integer or None")

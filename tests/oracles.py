@@ -9,7 +9,9 @@ brute force or by a second method, so the tests can compare the two:
     theorem that irreducibility is invertibility exactly for N = 2 and
     the odd prime powers;
   * survey_spot_check: the generic walk on a sample of the prime
-    survey's (p, k) pairs, against its powers of M(k).
+    survey's (p, k) pairs, against its powers of M(k);
+  * semi_candidates_by_gcd: one gcd per a < N/2, against the sieve of
+    classify.semi_candidates.
 """
 
 from __future__ import annotations
@@ -59,6 +61,16 @@ def units_only(ring: ResidueRing) -> bool:
     (Holds precisely for N = 2 and odd prime powers.)"""
     n = ring.modulus
     return reducible_set(ring) == [k for k in range(1, n) if gcd(k, n) != 1]
+
+
+def semi_candidates_by_gcd(n: int) -> list[int]:
+    """Twin of semi_candidates: the doubled units 2a, a in [1, N/2)
+    coprime to N (to N/2 when N = 2 mod 4), by one gcd each; for odd N
+    the units themselves."""
+    if n % 2:
+        return [k for k in range(1, n) if gcd(k, n) == 1]
+    base = n // 2 if n % 4 == 2 else n
+    return [2 * a for a in range(1, n // 2) if gcd(a, base) == 1]
 
 
 def survey_spot_check(max_prime: int, sample_den: int) -> tuple[list[int], list[dict]]:

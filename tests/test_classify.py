@@ -30,7 +30,7 @@ from monomod.classify import (
 from monomod._numbers import euler_phi
 from monomod.modring import ResidueRing
 from monomod.monomial import find_reduction, minimal_size_prime_fast
-from oracles import units_only
+from oracles import semi_candidates_by_gcd, units_only
 
 
 def test_decide_monomial_examples():
@@ -83,6 +83,11 @@ def test_semi_candidates_follow_the_parity_rule():
     assert semi_candidates(ResidueRing(15)) == sorted(
         k for k in range(1, 15) if gcd(k, 15) == 1
     )
+
+
+def test_semi_candidates_equal_the_gcd_oracle():
+    for n in range(2, 3001):
+        assert semi_candidates(ResidueRing(n)) == semi_candidates_by_gcd(n), n
 
 
 def test_verdicts_carry_consistent_counterexamples():

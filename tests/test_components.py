@@ -7,10 +7,18 @@ from collections import Counter
 
 import pytest
 
-from monomod import components, core
+from monomod import _numbers, components, core
 from monomod._numbers import euler_phi, factorize, is_prime, prime_power
 from monomod.classify import omega_count, reducible_set
 from monomod.modring import Mat2, ResidueRing, elementary, identity
+from monomod.scan import ScanJob, run_scan
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Each test starts with empty table and pair caches, so a spy sees
+    the work of a cold build."""
+    components.clear_caches()
 
 
 def brute_signature(q: int, k: int) -> components.Signature:
@@ -161,5 +169,62 @@ def test_the_ladder_descends_in_a_few_powers(monkeypatch, p, e, most):
     monkeypatch.setattr(core, "power_pm", spy)
     table = components.unit_table(p, e)
     ladder = p ** (e - 1) * (1 if p == 2 else 2)
-    assert calls[0] <= most * ladder
+    # the descent tests at least one power of every ladder residue
+    assert ladder <= calls[0] <= most * ladder
     assert sum(table.values()) == euler_phi(p**e)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 4), (5, 2), (7, 3), (13, 1), (101, 1), (1009, 1)])
+def test_unit_table_factors_p_minus_and_plus_1_once(monkeypatch, p, e):
+    factor, factored = _numbers.factorize, []
+
+    def spy(n):
+        factored.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(_numbers, "factorize", spy)
+    table = components.unit_table(p, e)
+    assert sorted(factored) == [p - 1, p + 1]
+    assert sum(table.values()) == euler_phi(p**e)
+
+
+def test_a_scan_builds_each_table_once(monkeypatch):
+    walk, walked = components.walk_signature, [0]
+
+    def spy(q, k):
+        walked[0] += 1
+        return walk(q, k)
+
+    monkeypatch.setattr(components, "walk_signature", spy)
+    counts = []
+    for _ in range(2):  # the second scan starts as cold as the first
+        walked[0] = 0
+        run_scan(ScanJob("omega", 2, 400))
+        counts.append(walked[0])
+    # the (p, e) the fold takes (every N but an odd p**e with e >= 2),
+    # each e walks (2 for q = 2)
+    folded = set()
+    for n in range(2, 401):
+        parts = factorize(n)
+        if not (len(parts) == 1 and 2 not in parts and max(parts.values()) >= 2):
+            folded.update(parts.items())
+    assert counts == [sum(2 if p**e == 2 else e for p, e in folded)] * 2
+
+
+def test_cached_tables_equal_fresh_builds():
+    run_scan(ScanJob("omega", 2, 400))
+    for q in range(2, 401):
+        if (pe := prime_power(q)) is None:
+            continue
+        p, e = pe
+        assert components.unit_table(p, e) == components.unit_table.__wrapped__(p, e), q
+        for v in range(1, e + 1):
+            fresh = components.valuation_table.__wrapped__(p, e, v)
+            assert components.valuation_table(p, e, v) == fresh, (q, v)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 5), (3, 4), (7, 2), (11, 1)])
+def test_component_table_leaves_its_cached_parts_alone(p, e):
+    whole = components.component_table(p, e)
+    assert sum(whole.values()) == p**e
+    assert sum(components.unit_table(p, e).values()) == euler_phi(p**e)

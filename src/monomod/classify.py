@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Iterable, Iterator
 
 from . import components
-from ._numbers import euler_phi, is_prime, prime_power
+from ._numbers import is_prime, prime_power
 from .modring import ResidueRing
 from .monomial import ReductionWitness, _prime_power_size, find_reduction
 
@@ -155,11 +155,8 @@ def decide_semi(ring: ResidueRing) -> ClassVerdict:
     if n % 2 == 0 and n >= SEMI_FOLD_FROM:
         # per component, the candidates are the units mod each odd q and
         # the k with v_2(k) = 1 mod 2**a (k = 0 when a = 1)
-        tables = [
-            components.valuation_table(p, e, 1) if p == 2 else components.unit_table(p, e)
-            for p, e, _ in ring.crt_idempotents
-        ]
-        if components.irreducible_count(tables) == len(candidates):
+        classes = [(p, e, (1,) if p == 2 else (0,)) for p, e, _ in ring.crt_idempotents]
+        if components.irreducible_count(classes) == len(candidates):
             return ClassVerdict(n, "semi", True, None, tuple(candidates))
     return _decide(ring, "semi", candidates)
 
@@ -272,6 +269,11 @@ PREDICTORS: dict[str, Callable[[int], bool | None]] = {
 }
 
 
+def _phi(ring: ResidueRing) -> int:
+    """Euler's phi of N, from the factorization the ring keeps."""
+    return prod((p - 1) * p ** (e - 1) for p, e, _ in ring.crt_idempotents)
+
+
 def reducible_set(ring: ResidueRing) -> list[int]:
     """Ascending k in [1, N) whose minimal solution is reducible.
     find_reduction runs on k <= N/2 only; N - k shares k's verdict (see
@@ -290,11 +292,11 @@ def omega_count(ring: ResidueRing) -> int:
     (construct.witness_lemma41).  Every other N is counted per
     signature class of its prime-power components (see the components
     module); the k-loop of reducible_set is the oracle."""
-    parts = [(p, e) for p, e, _ in ring.crt_idempotents]
+    parts = ring.crt_idempotents
     if len(parts) == 1 and parts[0][0] != 2 and parts[0][1] >= 2:
-        return euler_phi(ring.modulus)
-    tables = [components.component_table(p, e) for p, e in parts]
-    return components.irreducible_count(tables) - 1  # k = 0
+        return _phi(ring)
+    classes = [(p, e, range(e + 1)) for p, e, _ in parts]  # every valuation
+    return components.irreducible_count(classes) - 1  # k = 0
 
 
 def sizes_table(p: int) -> list[tuple[int, int]]:

@@ -43,9 +43,12 @@ k = 0 is never reducible: consecutive a_t of M(0) are 1, 0, -1, 0, so
 every hit has x = 0 = k in each component.  So omega is the number of
 irreducible residues mod N, minus one.
 
-Tables, {signature: count} over all k mod q: units from the order of
-M (unit_table), non-units from one walk per p-adic valuation
-(valuation_table); component_table is their sum.
+Tables.  class_table(p, e, v) holds the (signature, count) pairs
+over the k mod q = p**e of p-adic valuation v, 0 <= v <= e: v = 0 is
+the units, read from the orders of M, and each v >= 1 is one walk.  A
+question names the classes it counts per component: omega all of
+them, v = 0 .. e, and the semi candidates v = 0 of each odd q and
+v = 1 of 2**a.
 
   * Unit k mod q, q > 2: p cannot divide both x and x - k, whose
     difference is k, so x*(x-k) = 0 mod p**e forces x = 0 or x = k,
@@ -98,14 +101,13 @@ M (unit_table), non-units from one walk per p-adic valuation
     gain is positive, except in A_j for p = 2, where it can be 0; there
     the numerator also holds j - 1 and j + 2, and one of them is even.
 
-Cache.  A table depends on (p, e) alone and a pair test on its two
-signatures alone, so unit_table and valuation_table are cached by their
-arguments and merge and reducible by their pair, each in a bounded
-least-recently-used cache (TABLE_CACHE tables per part, PAIR_CACHE
-pairs per test).  scan.run_scan empties them at its start, through
-clear_caches, so a scan does the same work whatever ran before it.  A
-cached table is shared by every later caller and is never changed:
-component_table sums the parts into a fresh Counter.
+Cache.  A table depends on (p, e, v) alone and a pair test on its two
+signatures alone, so class_table is cached by its arguments and merge
+and reducible by their pair, each in a bounded least-recently-used
+cache (TABLE_CACHE tables, PAIR_CACHE pairs per test).  A table is a
+tuple, so every caller may share the cached one.  scan.run_scan
+empties the caches at its start, through clear_caches, so a scan does
+the same work whatever ran before it.
 """
 
 from __future__ import annotations
@@ -113,6 +115,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import gcd
+from typing import Iterable
 
 from ._numbers import divisor_phis, inv_mod
 from .monomial import _prime_power_size
@@ -123,23 +126,23 @@ __all__: list[str] = []
 
 Hit = tuple[int, int, bool, bool]  # (s, t, x = 0?, x = k?)
 Signature = tuple[int, frozenset[Hit]]  # (O, hits)
+Table = tuple[tuple[Signature, int], ...]  # (signature, count) pairs
 
 EMPTY_PRODUCT: Signature = (1, frozenset({(1, 0, True, True), (-1, 0, True, True)}))
 
 # Entries kept per cache (see the module docstring).  An omega scan of
-# 2..400 needs 93 unit tables, 133 valuation tables, 147 merges and
-# 3,128 pair tests, so it fits whole.  Of 2..5000 (705, 819, 1,539 and
-# 57,226) in one process, these bounds give a peak RSS of 22 MB against
-# 17 MB uncached and 34 MB unbounded, and 1.5 s against 2.5 s uncached
-# (medians of 3 runs on a shared 2-core machine).
-TABLE_CACHE = 256  # (p, e) or (p, e, v)
+# 2..400 needs 226 class tables, 147 merges and 3,128 pair tests, so it
+# fits whole.  Of 2..5000 (1,524, 1,539 and 57,226) in one process,
+# these bounds give a peak RSS of 20 MB and 1.3-1.6 s (3 runs on a
+# shared 2-core machine); pair tests beyond PAIR_CACHE are rebuilt.
+TABLE_CACHE = 512  # (p, e, v)
 PAIR_CACHE = 4096  # signature pairs
 
 
 def clear_caches() -> None:
     """Empty the caches of the tables and of the pair tests, so the work
     that follows does not depend on what ran before it."""
-    for cached in (unit_table, valuation_table, merge, reducible):
+    for cached in (class_table, merge, reducible):
         cached.cache_clear()
 
 
@@ -178,16 +181,19 @@ def unit_signature(order: int, minus_id: bool) -> Signature:
 
 
 @lru_cache(maxsize=TABLE_CACHE)
-def unit_table(p: int, e: int) -> Counter[Signature]:
-    """{signature: count} over the units mod p**e, from the orders of M
-    (see the module docstring): in closed form per class of k mod p,
-    and on the ladder from each residue's minimal size; mod 2 the one
-    unit is walked.  Cached: the caller must not change it."""
+def class_table(p: int, e: int, v: int) -> Table:
+    """(signature, count) pairs over the k mod p**e of p-adic valuation
+    v, 0 <= v <= e (see the module docstring): k = 0 alone for v = e;
+    one walk of k = p**v for the other non-units, and for the one unit
+    mod 2; the units of q > 2 in closed form per class of k mod p, and
+    on the ladder from each residue's minimal size."""
     q = p**e
-    if q == 2:  # 1 = -1, so unit_signature does not apply
-        return Counter({walk_signature(q, 1): 1})
+    if v == e:
+        return ((walk_signature(q, 0), 1),)
+    if v or q == 2:  # for q = 2, 1 = -1, so unit_signature does not apply
+        return ((walk_signature(q, p**v), (p - 1) * p ** (e - v - 1)),)
     table: Counter[Signature] = Counter()
-    for side in (p - 1, p + 1) if p > 2 else ():  # mod 2 every unit is on the ladder
+    for side in (p - 1, p + 1) if p > 2 else ():  # mod 2**e every unit is on the ladder
         for d, phi in divisor_phis(side):
             if d <= 2 or d == 4:
                 continue
@@ -200,28 +206,7 @@ def unit_table(p: int, e: int) -> Counter[Signature]:
         for k in range(base, q, p):
             r, eps = _prime_power_size(p, e, k, {})
             table[unit_signature(r if eps == 1 else 2 * r, eps == -1)] += 1
-    return table
-
-
-@lru_cache(maxsize=TABLE_CACHE)
-def valuation_table(p: int, e: int, v: int) -> dict[Signature, int]:
-    """{signature: count} over the k mod p**e of p-adic valuation v,
-    1 <= v <= e (v = e is k = 0 alone), from one walk (see the module
-    docstring).  Cached: the caller must not change it."""
-    q = p**e
-    if v == e:
-        return {walk_signature(q, 0): 1}
-    return {walk_signature(q, p**v): (p - 1) * p ** (e - v - 1)}
-
-
-def component_table(p: int, e: int) -> Counter[Signature]:
-    """{signature: count} over all k mod p**e: the units and each
-    valuation, e walks in all (2 for q = 2).  A fresh Counter, as its
-    parts are cached."""
-    table = Counter(unit_table(p, e))
-    for v in range(1, e + 1):
-        table.update(valuation_table(p, e, v))  # adds the counts
-    return table
+    return tuple(table.items())
 
 
 @lru_cache(maxsize=PAIR_CACHE)
@@ -254,23 +239,29 @@ def reducible(one: Signature, two: Signature) -> bool:
     return False
 
 
-def irreducible_count(tables: list[dict[Signature, int]]) -> int:
+def irreducible_count(classes: Iterable[tuple[int, int, Iterable[int]]]) -> int:
     """Number of residues k mod N with irreducible minimal solution
-    among the classes the tables count, one table per prime-power
-    component of N: a k is counted when each of its components lies in
-    the classes of that component's table.  The largest table comes
-    last, where each pair is only tested, not merged."""
-    tables = sorted(tables, key=len)
+    among the classes named, one (p, e, valuations) per prime-power
+    component of N: a k is counted when v_p(k mod p**e) is one of the
+    valuations of each component.  The largest table comes last, where
+    each pair is only tested, not merged."""
+    tables = sorted(
+        (
+            [pair for v in valuations for pair in class_table(p, e, v)]
+            for p, e, valuations in classes
+        ),
+        key=len,
+    )
     folded = Counter({EMPTY_PRODUCT: 1})
     for table in tables[:-1]:
         merged: Counter[Signature] = Counter()
         for one, count in folded.items():
-            for two, times in table.items():
+            for two, times in table:
                 merged[merge(one, two)] += count * times
         folded = merged
     return sum(
         count * times
         for one, count in folded.items()
-        for two, times in tables[-1].items()
+        for two, times in tables[-1]
         if not reducible(one, two)
     )

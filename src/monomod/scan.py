@@ -21,10 +21,11 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from . import components
-from ._numbers import euler_phi, sieve_primes
+from ._numbers import sieve_primes
 from .classify import (
     DECIDERS,
     PREDICTORS,
+    _phi,
     omega_count,
     quasi_family,
     reducible_set,
@@ -110,7 +111,7 @@ def _scan_chunk(args: tuple[str, range]) -> list[dict]:
         ring = ResidueRing(n)
         if kind == "omega":
             rows.append(
-                {"N": n, "kind": kind, "phi": euler_phi(n), "omega": omega_count(ring)}
+                {"N": n, "kind": kind, "phi": _phi(ring), "omega": omega_count(ring)}
             )
             continue
         verdict = DECIDERS[kind](ring)
@@ -128,7 +129,9 @@ def _scan_chunk(args: tuple[str, range]) -> list[dict]:
 
 def _read_checkpoint(path: str) -> tuple[dict | None, int | None]:
     """Last checkpoint record (None for a fresh, absent or empty file) and
-    the offset of a torn final line (None when there is none).
+    the offset of a torn final line (None when there is none).  The
+    record's job fields come back as the one ScanJob they describe, under
+    "job", beside its "completed_to" and "anomalies".
 
     Each record is appended as one line, so a final line without its
     newline is an append that a crash cut short: it is skipped, and
@@ -150,12 +153,16 @@ def _read_checkpoint(path: str) -> tuple[dict | None, int | None]:
             # JSON and UTF-8 decoding errors are ValueErrors too.
             try:
                 record = json.loads(line)
-                _recorded_job(record, path)
+                job = _recorded_job(record, path)
             except ValueError as exc:
                 raise CheckpointError(
                     f"corrupt checkpoint record at line {lineno} of {path}: {exc}"
                 ) from None
-            last = record
+            last = {
+                "job": job,
+                "completed_to": record["completed_to"],
+                "anomalies": record["anomalies"],
+            }
     return last, None
 
 
@@ -198,7 +205,7 @@ def checkpoint_resume(path: str) -> ScanJob:
     record, _ = _read_checkpoint(path)
     if record is None:
         raise CheckpointError(f"no checkpoint records in {path}")
-    return _recorded_job(record, path)
+    return record["job"]
 
 
 def run_scan(
@@ -232,7 +239,7 @@ def run_scan(
     if job.checkpoint:
         record, torn = _read_checkpoint(job.checkpoint)
         if record is not None:
-            was = _recorded_job(record, job.checkpoint)
+            was = record["job"]
             identity = (was.kind, was.lo, was.hi, was.include_odd)
             if identity != (job.kind, job.lo, job.hi, job.include_odd):
                 raise CheckpointError(
@@ -371,11 +378,8 @@ def emit_appendix(which: str, *, workers: int = 1) -> list[dict]:
             if row["verdict"]
         ]
     if which == "B":
-        return [
-            {"N": n, "phi": euler_phi(n), "omega": omega_count(ResidueRing(n))}
-            for n in range(6, 1001, 6)
-            if quasi_family(n) == "two_three"
-        ]
+        rings = (ResidueRing(n) for n in range(6, 1001, 6) if quasi_family(n) == "two_three")
+        return [{"N": r.modulus, "phi": _phi(r), "omega": omega_count(r)} for r in rings]
     if which == "C":
         return [
             {"N": n, "reducible": [0] + reducible_set(ResidueRing(n))}

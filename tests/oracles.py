@@ -11,7 +11,9 @@ brute force or by a second method, so the tests can compare the two:
   * survey_spot_check: the generic walk on a sample of the prime
     survey's (p, k) pairs, against its powers of M(k);
   * semi_candidates_by_gcd: one gcd per a < N/2, against the sieve of
-    classify.semi_candidates.
+    classify.semi_candidates;
+  * euler_phi: Euler's totient from a fresh factorization, against the
+    phi that classify and scan read from a ring's prime powers.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from math import gcd
 
 from monomod import scan
-from monomod._numbers import sieve_primes
+from monomod._numbers import factorize, sieve_primes
 from monomod.classify import reducible_set
 from monomod.modring import ResidueRing
 from monomod.monomial import ReductionWitness, minimal_size
@@ -54,6 +56,16 @@ def find_reduction_naive(ring: ResidueRing, k: int) -> ReductionWitness | None:
             if wc == 0 and wa == wd and wa in (1, n - 1):
                 return ReductionWitness(x, t + 2, 1 if wa == 1 else -1)
     return None
+
+
+def euler_phi(n: int) -> int:
+    """Euler's totient via the factorization of n."""
+    if n < 1:
+        raise ValueError("euler_phi expects a positive integer")
+    out = n
+    for p in factorize(n):
+        out = out // p * (p - 1)
+    return out
 
 
 def units_only(ring: ResidueRing) -> bool:

@@ -27,10 +27,9 @@ from monomod.classify import (
     semi_family,
     sizes_table,
 )
-from monomod._numbers import euler_phi
 from monomod.modring import ResidueRing
 from monomod.monomial import find_reduction, minimal_size_prime_fast
-from oracles import semi_candidates_by_gcd, units_only
+from oracles import euler_phi, semi_candidates_by_gcd, units_only
 
 
 def test_decide_monomial_examples():

@@ -757,15 +757,15 @@ def test_package_reexports_every_module_surface():
 
 
 def test_oracles_and_dead_code_left_the_library():
-    """The oracles live in tests/oracles.py, the unused CRT helpers are
-    gone, euler_phi stays private to _numbers, and the survey has no
-    sampling knob."""
+    """The oracles live in tests/oracles.py (euler_phi too, since the
+    library reads phi from a ring's prime powers), the unused CRT helpers
+    are gone, and the survey has no sampling knob."""
     gone = {
         "monomial": ("find_reduction_naive",),
         "classify": ("units_only",),
         "scan": ("scan_conjecture_checked",),
         "construct": ("crt",),
-        "_numbers": ("crt", "crt_pair"),
+        "_numbers": ("crt", "crt_pair", "euler_phi"),
     }
     for module_name, names in gone.items():
         module = importlib.import_module(f"monomod.{module_name}")

@@ -7,11 +7,12 @@ from collections import Counter
 
 import pytest
 
-from monomod import _numbers, components, core
-from monomod._numbers import euler_phi, factorize, is_prime, prime_power
+from monomod import _numbers, components, core, modring
+from monomod._numbers import factorize, is_prime, prime_power
 from monomod.classify import omega_count, reducible_set
 from monomod.modring import Mat2, ResidueRing, elementary, identity
 from monomod.scan import ScanJob, run_scan
+from oracles import euler_phi
 
 
 @pytest.fixture(autouse=True)
@@ -59,7 +60,11 @@ TABLE_MODULI = [
 def test_closed_form_table_equals_walked_signatures(q):
     p, e = prime_power(q)
     walked = Counter(components.walk_signature(q, k) for k in range(q))
-    assert components.component_table(p, e) == walked
+    built: Counter = Counter()
+    for v in range(e + 1):
+        for signature, count in components.class_table(p, e, v):
+            built[signature] += count
+    assert built == walked
 
 
 def valuation(q: int, p: int, k: int) -> int:
@@ -79,13 +84,14 @@ def test_unit_and_valuation_parts_equal_walked_signatures(q):
             components.walk_signature(q, k) for k in range(q) if valuation(q, p, k) == v
         )
 
-    parts = [components.unit_table(p, e)]
-    parts += [components.valuation_table(p, e, v) for v in range(1, e + 1)]
-    total: Counter = Counter()
-    for v, part in enumerate(parts):
-        assert part == walked(v), v
-        total.update(part)
-    assert total == components.component_table(p, e)
+    total = 0
+    for v in range(e + 1):
+        part = components.class_table(p, e, v)
+        # one pair per signature, so the pairs read as a {signature: count}
+        assert len(dict(part)) == len(part), v
+        assert Counter(dict(part)) == walked(v), v
+        total += sum(count for _, count in part)
+    assert total == q
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 7), (3, 1), (3, 5), (5, 3), (7, 2)])
@@ -97,7 +103,8 @@ def test_a_table_walks_once_per_valuation(monkeypatch, p, e):
         return walk(q, k)
 
     monkeypatch.setattr(components, "walk_signature", spy)
-    components.component_table(p, e)
+    for v in range(e + 1):
+        components.class_table(p, e, v)
     # k = 0 and k = p**v for 1 <= v < e; mod 2 the unit 1 as well
     assert sorted(walked) == ([0, 1] if p**e == 2 else [0] + [p**v for v in range(1, e)])
 
@@ -167,11 +174,11 @@ def test_the_ladder_descends_in_a_few_powers(monkeypatch, p, e, most):
         return power(*args)
 
     monkeypatch.setattr(core, "power_pm", spy)
-    table = components.unit_table(p, e)
+    table = components.class_table(p, e, 0)
     ladder = p ** (e - 1) * (1 if p == 2 else 2)
     # the descent tests at least one power of every ladder residue
     assert ladder <= calls[0] <= most * ladder
-    assert sum(table.values()) == euler_phi(p**e)
+    assert sum(count for _, count in table) == euler_phi(p**e)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (3, 4), (5, 2), (7, 3), (13, 1), (101, 1), (1009, 1)])
@@ -183,9 +190,9 @@ def test_unit_table_factors_p_minus_and_plus_1_once(monkeypatch, p, e):
         return factor(n)
 
     monkeypatch.setattr(_numbers, "factorize", spy)
-    table = components.unit_table(p, e)
+    table = components.class_table(p, e, 0)
     assert sorted(factored) == [p - 1, p + 1]
-    assert sum(table.values()) == euler_phi(p**e)
+    assert sum(count for _, count in table) == euler_phi(p**e)
 
 
 def test_a_scan_builds_each_table_once(monkeypatch):
@@ -211,20 +218,45 @@ def test_a_scan_builds_each_table_once(monkeypatch):
     assert counts == [sum(2 if p**e == 2 else e for p, e in folded)] * 2
 
 
+def test_an_omega_scan_factors_each_modulus_once(monkeypatch):
+    """Each row's phi comes from the factorization its ring keeps, so an
+    omega scan factors each N once (crt_idempotents) and each odd p with
+    a unit table p - 1 and p + 1 once (divisor_phis): 399 + 170 calls
+    over 2..400."""
+    factor, calls = _numbers.factorize, [0]
+
+    def spy(n):
+        calls[0] += 1
+        return factor(n)
+
+    monkeypatch.setattr(_numbers, "factorize", spy)
+    monkeypatch.setattr(modring, "factorize", spy)
+    rows = run_scan(ScanJob("omega", 2, 400)).rows
+    assert calls[0] == 569
+    assert all(row["phi"] == euler_phi(row["N"]) for row in rows)
+
+
 def test_cached_tables_equal_fresh_builds():
     run_scan(ScanJob("omega", 2, 400))
     for q in range(2, 401):
         if (pe := prime_power(q)) is None:
             continue
         p, e = pe
-        assert components.unit_table(p, e) == components.unit_table.__wrapped__(p, e), q
-        for v in range(1, e + 1):
-            fresh = components.valuation_table.__wrapped__(p, e, v)
-            assert components.valuation_table(p, e, v) == fresh, (q, v)
+        for v in range(e + 1):
+            fresh = components.class_table.__wrapped__(p, e, v)
+            assert components.class_table(p, e, v) == fresh, (q, v)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 5), (3, 4), (7, 2), (11, 1)])
 def test_component_table_leaves_its_cached_parts_alone(p, e):
-    whole = components.component_table(p, e)
-    assert sum(whole.values()) == p**e
-    assert sum(components.unit_table(p, e).values()) == euler_phi(p**e)
+    """A cached class table is a tuple, which no caller can change, its
+    counts sum to the size of its class, and the classes to p**e."""
+    total = 0
+    for v in range(e + 1):
+        table = components.class_table(p, e, v)
+        assert components.class_table(p, e, v) is table  # the cached one
+        assert isinstance(table, tuple) and all(isinstance(pair, tuple) for pair in table)
+        size = sum(count for _, count in table)
+        assert size == (euler_phi(p ** (e - v)) if v < e else 1), v
+        total += size
+    assert total == p**e

@@ -25,8 +25,8 @@ from monomod.scan import (
     run_scan,
     scan_conjecture,
 )
-from monomod._numbers import euler_phi, sieve_primes
-from oracles import survey_spot_check
+from monomod._numbers import sieve_primes
+from oracles import euler_phi, survey_spot_check
 
 
 def test_scan_job_validates_fields():
@@ -501,6 +501,24 @@ def test_checkpoint_resume_restores_chunk(tmp_path):
     job = ScanJob(kind="quasi", lo=2, hi=90, chunk=10, checkpoint=path)
     run_scan(job, max_chunks=3)
     assert checkpoint_resume(path) == job
+
+
+def test_reading_a_checkpoint_builds_each_record_job_once(tmp_path, monkeypatch):
+    path = str(tmp_path / "scan.ckpt")
+    job = ScanJob(kind="quasi", lo=2, hi=90, chunk=10, checkpoint=path)
+    run_scan(job, max_chunks=3)
+    recorded, built = scan._recorded_job, []
+
+    def spy(record, where):
+        built.append(record["completed_to"])
+        return recorded(record, where)
+
+    monkeypatch.setattr(scan, "_recorded_job", spy)
+    assert checkpoint_resume(path) == job
+    assert built == [11, 21, 31]  # one build per record, the last one kept
+    built.clear()
+    assert run_scan(job, max_chunks=1).completed_to == 41
+    assert built == [11, 21, 31]
 
 
 def test_checkpoint_resume_reconstructs_job(tmp_path):

@@ -284,18 +284,14 @@ def reducible_set(ring: ResidueRing) -> list[int]:
 
 
 def omega_count(ring: ResidueRing) -> int:
-    """Number of k in [1, N) whose minimal solution is irreducible.
-
-    An odd N = p**e with e >= 2 gives phi(N): a unit k is irreducible,
-    since x*(x-k) = 0 mod p**e forces x in {0, k}, and every nonzero
-    non-unit k = a*p**t is reducible by the paper's Lemma 4.1
-    (construct.witness_lemma41).  Every other N is counted per
-    signature class of its prime-power components (see the components
-    module); the k-loop of reducible_set is the oracle."""
-    parts = ring.crt_idempotents
-    if len(parts) == 1 and parts[0][0] != 2 and parts[0][1] >= 2:
-        return _phi(ring)
-    classes = [(p, e, range(e + 1)) for p, e, _ in parts]  # every valuation
+    """Number of k in [1, N) whose minimal solution is irreducible,
+    counted per signature class of the prime-power components of N (see
+    the components module); the k-loop of reducible_set is the oracle.
+    For an odd N = p**e with e >= 2 the count is phi(N), as the paper's
+    Lemma 4.1 shows: a unit k is irreducible, since x*(x-k) = 0 mod p**e
+    forces x in {0, k}, and every nonzero non-unit k = a*p**t is
+    reducible (construct.witness_lemma41)."""
+    classes = [(p, e, range(e + 1)) for p, e, _ in ring.crt_idempotents]  # every valuation
     return components.irreducible_count(classes) - 1  # k = 0
 
 

@@ -44,19 +44,26 @@ every hit has x = 0 = k in each component.  So omega is the number of
 irreducible residues mod N, minus one.
 
 Tables.  class_table(p, e, v) holds the (signature, count) pairs
-over the k mod q = p**e of p-adic valuation v, 0 <= v <= e: v = 0 is
-the units, read from the orders of M, and each v >= 1 is one walk.  A
-question names the classes it counts per component: omega all of
-them, v = 0 .. e, and the semi candidates v = 0 of each odd q and
-v = 1 of 2**a.
+over the k mod q = p**e of p-adic valuation v, 0 <= v <= e, in closed
+form: no walk and no power of M runs, so a table costs its classes and
+hits, not q.  A question names the classes it counts per component:
+omega all of them, v = 0 .. e, and the semi candidates v = 0 of each
+odd q and v = 1 of 2**a.
 
+  * q = 2: 1 = -1 makes every hit one of both signs.  k = 0 has O = 2
+    and the hit t = 0, x = 0 = k; k = 1 has O = 3 and the hits t = 0,
+    x = 0 and t = 1, x = 1 = k.
   * Unit k mod q, q > 2: p cannot divide both x and x - k, whose
     difference is k, so x*(x-k) = 0 mod p**e forces x = 0 or x = k,
     and the hits are exactly where M**t or M**(t+2) is +/-Id:
     (-1, 0, T, F) and (+1, O-2, F, T), and with M**(O/2) = -Id also
     (+1, O/2, T, F) and (-1, O/2-2, F, T).  The signature is fixed by
-    O and whether -Id is a power of M.  For q = 2, 1 = -1 makes every
-    hit one of both signs, so both residues mod 2 are walked.
+    O and whether -Id is a power of M.  <M> is cyclic and -Id != Id,
+    so for the minimal size (r, eps) of k, O = r and -Id is no power
+    when eps = +1, and O = 2r and -Id is a power when eps = -1.  The
+    mirror k -> -k (see the classify module) keeps r and multiplies
+    eps by (-1)**r.  The next three rules give each unit class's O,
+    whether -Id is a power, and its count.
   * Odd p, unit k not +/-2 mod p: M mod p has distinct eigenvalues
     lambda, 1/lambda in F_p* or in the norm-1 torus of F_{p**2}, of
     order d dividing p - 1 or p + 1, and the phi(d)/2 pairs of order
@@ -70,18 +77,36 @@ v = 1 of 2**a.
     each class of order d lifts to 1 residue of order d and
     p**j - p**(j-1) of order d*p**j, 1 <= j < e.  The cyclic group
     holds one element of order 2, -1, so -Id is a power iff d is even.
-  * The ladder: odd p with k = +/-2 mod p, and p = 2 with k odd,
-    e >= 2.  Here the order of M mod p**e is not fixed by the class of
-    k mod p, so each residue takes its minimal size (r, eps) from
-    monomial._prime_power_size, a descent from a known multiple of the
-    order (proved there) by a few core.power_pm.  <M> is cyclic and
-    -Id != Id as q > 2, so -Id is a power iff eps = -1, and O = r for
-    eps = +1, 2r for eps = -1.
-  * Non-units: k = p**v * u, u a unit, 1 <= v <= e - 1 (so e >= 2),
-    y = k*k.  The signature depends on v alone, so k = p**v is walked
-    once for the (p-1)*p**(e-v-1) residues of valuation v, and k = 0
-    once for itself.  Proof: a_t is a polynomial in k of the parity of
-    t, and with C the binomial coefficient,
+  * p >= 5, k = +/-2 mod p: with C the binomial coefficient,
+        a_{n-1} = sum_{i>=0} C(n+i, 2i+1) * (k-2)**i,
+    and the numerator of C(n+i, 2i+1) holds the factor n, so the term
+    i gains at least i - v_p((2i+1)!) >= i - 2i/(p-1) > 0 over the
+    term i = 0, which is n: v_p(a_{n-1}) = v_p(n).  M**n = +/-Id iff
+    a_{n-1} = 0 (then a_n = -a_{n-2} and det M**n = a_n**2 = 1), so
+    r = p**e for each of the p**(e-1) residues of either class.  For
+    k = 2 mod p, M = M(2) mod p and M(2)**n = [[n+1, -n], [n, 1-n]],
+    so M**(p**e) = Id mod p gives eps = +1: O = p**e, -Id no power.
+    The mirror gives k = -2 mod p eps = -1: O = 2*p**e, -Id a power.
+  * p = 3 with k = +/-1 mod 3 (that is, -/+2), and p = 2 with k odd,
+    e >= 2: M**3 - Id = (k+1) * [[k*k-k-1, 1-k], [k-1, -1]], whose
+    second factor is not 0 mod p, so M**3 = Id + p**w * B with
+    w = v_p(k+1) (capped at e) and B != 0 mod p.  For w >= 1 (p = 3:
+    cube it) or w >= 2 (p = 2: square it), (Id + p**w * B)**p =
+    Id + p**(w+1) * B' with B' = B mod p, so M**3 has order p**(e-w)
+    and M, of order 3 mod p, has order 3*p**(e-w).  For p = 3 and
+    k = -1 mod 3 the order is odd, so -Id is no power, and
+    v_3(k+1) = w holds for 1 residue (w = e) or 2*3**(e-w-1): the
+    rule of the previous case with d = 3, and by the mirror with d = 6
+    for k = 1 mod 3.  For p = 2 and k = -1 mod 4, M**(3m) = Id mod 4
+    and M**(3m +/- 1) = M**(+/-1) mod 4, so -Id is no power: O = 3
+    for k = -1 and O = 3*2**j for the 2**(j-1) residues with
+    v_2(k+1) = e - j, 1 <= j <= e - 2.  The mirror gives k = 1 mod 4
+    the same r and eps = (-1)**r: O = 6 with -Id a power for k = 1,
+    and O = 3*2**j, -Id no power, for 2**(j-1) more residues.
+  * Non-units: k = p**v * u, u a unit, 1 <= v <= e, q > 2, y = k*k.
+    The signature depends on v alone, so it counts the (p-1)*p**(e-v-1)
+    residues of valuation v (1 for k = 0, v = e).  Proof: a_t is a
+    polynomial in k of the parity of t, and
         a_{2j} = (-1)**j * (1 + A_j),  a_{2j-1} = (-1)**(j-1) * k * B_j,
         A_j = sum_{i>=1} (-1)**i * C(j+i, 2i) * y**i,
         B_j = sum_{i>=0} (-1)**i * C(j+i, 2i+1) * y**i.
@@ -100,6 +125,11 @@ v = 1 of 2**a.
     v >= 1, v_p(n!) <= (n-1)/(p-1) and v_2((2i+1)!) = v_2((2i)!), that
     gain is positive, except in A_j for p = 2, where it can be 0; there
     the numerator also holds j - 1 and j + 2, and one of them is even.
+    (For k = 0, A_j = 0 and B_j = j exactly.)  As p divides at most
+    one of j and j + 1, the hits are the j = 0 or -1 mod p**c,
+    c = max(e - 2v + [p = 2], 0), and O is 2j for the least even
+    j > 0 among them with v_p(j) >= e - v >= c: O = 4*p**(e-v) for odd
+    p and 2*2**max(e-v, 1) for p = 2.
 
 Cache.  A table depends on (p, e, v) alone and a pair test on its two
 signatures alone, so class_table is cached by its arguments and merge
@@ -118,7 +148,7 @@ from math import gcd
 from typing import Iterable
 
 from ._numbers import divisor_phis, inv_mod
-from .monomial import _prime_power_size
+from .solutions import _valuation
 
 # classify.omega_count and classify.decide_semi are the callers, so
 # nothing here is public.
@@ -131,10 +161,10 @@ Table = tuple[tuple[Signature, int], ...]  # (signature, count) pairs
 EMPTY_PRODUCT: Signature = (1, frozenset({(1, 0, True, True), (-1, 0, True, True)}))
 
 # Entries kept per cache (see the module docstring).  An omega scan of
-# 2..400 needs 226 class tables, 147 merges and 3,128 pair tests, so it
-# fits whole.  Of 2..5000 (1,524, 1,539 and 57,226) in one process,
-# these bounds give a peak RSS of 20 MB and 1.3-1.6 s (3 runs on a
-# shared 2-core machine); pair tests beyond PAIR_CACHE are rebuilt.
+# 2..400 needs 242 class tables, 147 merges and 3,153 pair tests, so it
+# fits whole.  Of 2..5000 (1,546, 1,539 and 57,305) in one process,
+# these bounds give a peak RSS of 22 MB and 1.7-1.9 s (3 runs on a
+# shared 2-core machine); entries beyond a bound are rebuilt.
 TABLE_CACHE = 512  # (p, e, v)
 PAIR_CACHE = 4096  # signature pairs
 
@@ -144,30 +174,6 @@ def clear_caches() -> None:
     that follows does not depend on what ran before it."""
     for cached in (class_table, merge, reducible):
         cached.cache_clear()
-
-
-def walk_signature(q: int, k: int) -> Signature:
-    """(O, hits) of k mod q, from one walk of M(k) to its order r up to
-    sign.  When M**r = -Id, O = 2r and M**(t+r) = -M**t repeats each hit
-    (s, t, ...) as (-s, t + r, ...) with the same border."""
-    k %= q
-    m = q - 1
-    hits = set()
-    a, c, t = 1, 0, 0  # (a_t, a_{t-1})
-    while True:
-        if a == 1 or a == m:
-            x = c if a == 1 else -c % q
-            if a == 1:
-                hits.add((-1, t, x == 0, x == k))
-            if a == m:  # also for q = 2, where 1 = -1
-                hits.add((1, t, x == 0, x == k))
-        a, c = (k * a - c) % q, a
-        t += 1
-        if c == 0 and (a == 1 or a == m):
-            break
-    if a == 1:
-        return t, frozenset(hits)
-    return 2 * t, frozenset(hits | {(-s, u + t, z, w) for s, u, z, w in hits})
 
 
 def unit_signature(order: int, minus_id: bool) -> Signature:
@@ -180,33 +186,51 @@ def unit_signature(order: int, minus_id: bool) -> Signature:
     return order, frozenset(hits)
 
 
+def unit_orders(p: int, e: int) -> list[tuple[int, bool, int]]:
+    """(O, -Id a power?, count) per class of units mod p**e > 2 (see
+    the module docstring)."""
+    if p == 2:  # k = -1, k = 1, then both signs of each v_2(k +/- 1) < e
+        return [(3, False, 1), (6, True, 1)] + [(3 * 2**j, False, 2**j) for j in range(1, e - 1)]
+    # (d, classes mod p) of the k whose M(k) has order d mod p and whose
+    # lifts have orders d*p**j
+    bases = [
+        (d, phi // 2)
+        for side in (p - 1, p + 1)
+        for d, phi in divisor_phis(side)
+        if d > 2 and d != 4
+    ]
+    if p == 3:  # k = -1 and k = 1 mod 3
+        bases += [(3, 1), (6, 1)]
+        rows = []
+    else:  # k = 2 and k = -2 mod p
+        rows = [(p**e, False, p ** (e - 1)), (2 * p**e, True, p ** (e - 1))]
+    lifts = [(j, p**j - p ** (j - 1) if j else 1) for j in range(e)]
+    return rows + [(d * p**j, d % 2 == 0, classes * n) for d, classes in bases for j, n in lifts]
+
+
+def valuation_signature(p: int, e: int, v: int) -> Signature:
+    """The signature of every k mod p**e > 2 of valuation v >= 1: hits
+    at t = 2j for j = 0 or -1 mod p**c (see the module docstring)."""
+    half = 2 * p ** (e - v) if p > 2 else 2 ** max(e - v, 1)  # O/2
+    step = p ** max(e - 2 * v + (p == 2), 0)
+    hits = frozenset(
+        (1 if j % 2 else -1, 2 * j, v + _valuation(p, e, j) >= e, v + _valuation(p, e, j + 1) >= e)
+        for i in range(0, half, step)
+        for j in (i, i + step - 1)
+    )
+    return 2 * half, hits
+
+
 @lru_cache(maxsize=TABLE_CACHE)
 def class_table(p: int, e: int, v: int) -> Table:
     """(signature, count) pairs over the k mod p**e of p-adic valuation
-    v, 0 <= v <= e (see the module docstring): k = 0 alone for v = e;
-    one walk of k = p**v for the other non-units, and for the one unit
-    mod 2; the units of q > 2 in closed form per class of k mod p, and
-    on the ladder from each residue's minimal size."""
-    q = p**e
-    if v == e:
-        return ((walk_signature(q, 0), 1),)
-    if v or q == 2:  # for q = 2, 1 = -1, so unit_signature does not apply
-        return ((walk_signature(q, p**v), (p - 1) * p ** (e - v - 1)),)
-    table: Counter[Signature] = Counter()
-    for side in (p - 1, p + 1) if p > 2 else ():  # mod 2**e every unit is on the ladder
-        for d, phi in divisor_phis(side):
-            if d <= 2 or d == 4:
-                continue
-            classes = phi // 2
-            table[unit_signature(d, d % 2 == 0)] += classes
-            for j in range(1, e):
-                lifts = classes * (p**j - p ** (j - 1))
-                table[unit_signature(d * p**j, d % 2 == 0)] += lifts
-    for base in (1,) if p == 2 else (2, p - 2):  # the ladder
-        for k in range(base, q, p):
-            r, eps = _prime_power_size(p, e, k, {})
-            table[unit_signature(r if eps == 1 else 2 * r, eps == -1)] += 1
-    return tuple(table.items())
+    v, 0 <= v <= e, in closed form (see the module docstring)."""
+    if p**e == 2:  # k = 0 (O = 2) or k = 1 (O = 3); as 1 = -1, each hit has both signs
+        hits = [(0, True, True)] if v else [(0, True, False), (1, False, True)]
+        return (((3 - v, frozenset((s, *hit) for hit in hits for s in (1, -1))), 1),)
+    if v:
+        return ((valuation_signature(p, e, v), (p - 1) * p ** (e - v - 1) if v < e else 1),)
+    return tuple((unit_signature(order, minus_id), n) for order, minus_id, n in unit_orders(p, e))
 
 
 @lru_cache(maxsize=PAIR_CACHE)

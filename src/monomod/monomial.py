@@ -175,8 +175,12 @@ def _prime_power_size(
     and for g = 2, 3, p or 2p only 2 and p can leave: that g is the
     order of M(k) mod p itself, so r mod p is g or g/2 and divides r.
     factors maps each g = p -+ 1 already factored to its factorization
-    and gains the one this k needs, so a table over one prime that
-    passes the same dict for every k factors each of p -+ 1 at most once.
+    and gains the one this k needs, so classify.sizes_table, which
+    passes the same dict for every k, factors each of p -+ 1 at most
+    once.  The library takes e = 1 only (minimal_size_prime_fast and
+    sizes_table); the class tables of the components module are in
+    closed form, and the tests check their units against this descent
+    for e > 1.
     """
     g = _multiple(p, k)
     if p > 2 and g % p:  # p -+ 1

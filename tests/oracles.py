@@ -13,7 +13,10 @@ brute force or by a second method, so the tests can compare the two:
   * semi_candidates_by_gcd: one gcd per a < N/2, against the sieve of
     classify.semi_candidates;
   * euler_phi: Euler's totient from a fresh factorization, against the
-    phi that classify and scan read from a ring's prime powers.
+    phi that classify and scan read from a ring's prime powers;
+  * walk_signature: the (O, hits) signature of one k mod q from a walk
+    of M(k), against the closed-form class tables of the components
+    module and its merge.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from math import gcd
 from monomod import scan
 from monomod._numbers import factorize, sieve_primes
 from monomod.classify import reducible_set
+from monomod.components import Signature
 from monomod.modring import ResidueRing
 from monomod.monomial import ReductionWitness, minimal_size
 
@@ -66,6 +70,30 @@ def euler_phi(n: int) -> int:
     for p in factorize(n):
         out = out // p * (p - 1)
     return out
+
+
+def walk_signature(q: int, k: int) -> Signature:
+    """(O, hits) of k mod q, from one walk of M(k) to its order r up to
+    sign.  When M**r = -Id, O = 2r and M**(t+r) = -M**t repeats each hit
+    (s, t, ...) as (-s, t + r, ...) with the same border."""
+    k %= q
+    m = q - 1
+    hits = set()
+    a, c, t = 1, 0, 0  # (a_t, a_{t-1})
+    while True:
+        if a == 1 or a == m:
+            x = c if a == 1 else -c % q
+            if a == 1:
+                hits.add((-1, t, x == 0, x == k))
+            if a == m:  # also for q = 2, where 1 = -1
+                hits.add((1, t, x == 0, x == k))
+        a, c = (k * a - c) % q, a
+        t += 1
+        if c == 0 and (a == 1 or a == m):
+            break
+    if a == 1:
+        return t, frozenset(hits)
+    return 2 * t, frozenset(hits | {(-s, u + t, z, w) for s, u, z, w in hits})
 
 
 def units_only(ring: ResidueRing) -> bool:

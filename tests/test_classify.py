@@ -27,6 +27,7 @@ from monomod.classify import (
     semi_family,
     sizes_table,
 )
+from monomod._numbers import prime_power
 from monomod.modring import ResidueRing
 from monomod.monomial import find_reduction, minimal_size_prime_fast
 from oracles import euler_phi, semi_candidates_by_gcd, units_only
@@ -172,9 +173,40 @@ def test_omega_count_examples():
     assert omega_count(ResidueRing(54)) == 39
     assert omega_count(ResidueRing(16)) == 13
     assert omega_count(ResidueRing(64)) == 49
-    # odd prime powers: the irreducible k are exactly the units
-    for q in (27, 49, 121):
-        assert omega_count(ResidueRing(q)) == euler_phi(q)
+    # odd prime powers: the irreducible k are exactly the units (Lemma
+    # 4.1), which the fold counts like any other N
+    for q in range(9, 3001, 2):
+        pe = prime_power(q)
+        if pe is not None and pe[1] >= 2:
+            assert omega_count(ResidueRing(q)) == euler_phi(q), q
+
+
+def omega_2x3(a: int, b: int) -> int | None:
+    """The closed form of omega(2**a * 3**b) that the fold gives, for
+    a >= 1 and every N but 2, 4, 6, 12 and 24; None elsewhere."""
+    if b >= 2:
+        if a >= 3:
+            return (3 * 2 ** (a - 1) + 4) * 3 ** (b - 1) + 7 * 2 ** (a - 2) + 1
+        return {1: 4 * 3 ** (b - 1) + 3, 2: 8 * 3 ** (b - 1) + 7}.get(a)
+    if b == 1 and a >= 4:
+        return 9 * 2 ** (a - 2) + 5
+    if b == 0 and a >= 3:
+        return 3 * 2 ** (a - 2) + 1
+    return None
+
+
+def test_omega_of_2a_3b_equals_its_closed_form():
+    checked = 0
+    for a in range(21):
+        for b in range(13):
+            if (omega := omega_2x3(a, b)) is not None:
+                assert omega_count(ResidueRing(2**a * 3**b)) == omega, (a, b)
+                checked += 1
+    assert checked == 255
+    # a = 1 counts the complement of predict_reducible_set_2x3m, which
+    # lists k = 0 among the reducible k in [0, N)
+    for m in range(2, 13):
+        assert omega_2x3(1, m) == 2 * 3**m - len(predict_reducible_set_2x3m(m))
 
 
 @pytest.mark.parametrize("n,expected", [(2, True), (8, False), (49, True), (25, True), (12, False)])

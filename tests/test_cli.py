@@ -758,7 +758,8 @@ def test_package_reexports_every_module_surface():
 
 def test_oracles_and_dead_code_left_the_library():
     """The oracles live in tests/oracles.py (euler_phi too, since the
-    library reads phi from a ring's prime powers), the unused CRT helpers
+    library reads phi from a ring's prime powers, and walk_signature,
+    since the class tables are in closed form), the unused CRT helpers
     are gone, and the survey has no sampling knob."""
     gone = {
         "monomial": ("find_reduction_naive",),
@@ -766,6 +767,7 @@ def test_oracles_and_dead_code_left_the_library():
         "scan": ("scan_conjecture_checked",),
         "construct": ("crt",),
         "_numbers": ("crt", "crt_pair", "euler_phi"),
+        "components": ("walk_signature",),
     }
     for module_name, names in gone.items():
         module = importlib.import_module(f"monomod.{module_name}")

@@ -1,5 +1,6 @@
-"""The component fold behind omega_count, checked against brute-force
-matrix products and against the k-loop of reducible_set."""
+"""The component fold behind omega_count: its closed-form class tables
+checked against walked signatures and brute-force matrix products, and
+its counts against the k-loop of reducible_set."""
 
 from __future__ import annotations
 
@@ -7,12 +8,12 @@ from collections import Counter
 
 import pytest
 
-from monomod import _numbers, components, core, modring
+from monomod import _numbers, components, core, modring, monomial
 from monomod._numbers import factorize, is_prime, prime_power
 from monomod.classify import omega_count, reducible_set
 from monomod.modring import Mat2, ResidueRing, elementary, identity
 from monomod.scan import ScanJob, run_scan
-from oracles import euler_phi
+from oracles import euler_phi, walk_signature
 
 
 @pytest.fixture(autouse=True)
@@ -44,7 +45,7 @@ def brute_signature(q: int, k: int) -> components.Signature:
 @pytest.mark.parametrize("q", range(2, 41))
 def test_walk_hits_equal_matrix_products(q):
     for k in range(q):
-        assert components.walk_signature(q, k) == brute_signature(q, k), k
+        assert walk_signature(q, k) == brute_signature(q, k), k
 
 
 # every prime power to 200, and past it every p**e with e >= 2 to 1100,
@@ -59,7 +60,7 @@ TABLE_MODULI = [
 @pytest.mark.parametrize("q", TABLE_MODULI)
 def test_closed_form_table_equals_walked_signatures(q):
     p, e = prime_power(q)
-    walked = Counter(components.walk_signature(q, k) for k in range(q))
+    walked = Counter(walk_signature(q, k) for k in range(q))
     built: Counter = Counter()
     for v in range(e + 1):
         for signature, count in components.class_table(p, e, v):
@@ -80,9 +81,7 @@ def test_unit_and_valuation_parts_equal_walked_signatures(q):
     p, e = prime_power(q)
 
     def walked(v: int) -> Counter:
-        return Counter(
-            components.walk_signature(q, k) for k in range(q) if valuation(q, p, k) == v
-        )
+        return Counter(walk_signature(q, k) for k in range(q) if valuation(q, p, k) == v)
 
     total = 0
     for v in range(e + 1):
@@ -95,18 +94,28 @@ def test_unit_and_valuation_parts_equal_walked_signatures(q):
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 7), (3, 1), (3, 5), (5, 3), (7, 2)])
-def test_a_table_walks_once_per_valuation(monkeypatch, p, e):
-    walk, walked = components.walk_signature, []
+def test_a_table_takes_no_walk_and_no_power(monkeypatch, p, e):
+    calls = []
 
-    def spy(q, k):
-        walked.append(k)
-        return walk(q, k)
+    def spy(name, function):
+        def counted(*args):
+            calls.append(name)
+            return function(*args)
 
-    monkeypatch.setattr(components, "walk_signature", spy)
+        return counted
+
+    for module, name in (
+        (core, "order_pm"),
+        (core, "order_and_reduction"),
+        (core, "power_pm"),
+        (monomial, "_prime_power_size"),
+    ):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     for v in range(e + 1):
         components.class_table(p, e, v)
-    # k = 0 and k = p**v for 1 <= v < e; mod 2 the unit 1 as well
-    assert sorted(walked) == ([0, 1] if p**e == 2 else [0] + [p**v for v in range(1, e)])
+    assert calls == []
+    # nor can a table reach them under a name bound at import
+    assert not {"core", "monomial", "_prime_power_size"} & vars(components).keys()
 
 
 def test_merge_equals_the_walk_of_the_product():
@@ -117,10 +126,8 @@ def test_merge_equals_the_walk_of_the_product():
         p, e = min(fac.items())
         q1, q2 = p**e, n // p**e
         for k in range(n):
-            merged = components.merge(
-                components.walk_signature(q1, k), components.walk_signature(q2, k)
-            )
-            assert merged == components.walk_signature(n, k), (n, k)
+            merged = components.merge(walk_signature(q1, k), walk_signature(q2, k))
+            assert merged == walk_signature(n, k), (n, k)
             assert components.merge(components.EMPTY_PRODUCT, merged) == merged
 
 
@@ -156,29 +163,23 @@ def test_omega_far_past_the_tables():
     for n, omega in ((12288, 9221), (13122, 8751), (2**14, 12289), (2**16, 49153)):
         assert omega_count(ResidueRing(n)) == omega, n
     # ladders of 3**9 and of 2**10 beside 3**5; pinned from an order
-    # ladder that climbed o0 * p**j, independent of today's descent
+    # ladder that climbed o0 * p**j, independent of today's closed form
     assert omega_count(ResidueRing(2 * 3**9)) == 26247
     assert omega_count(ResidueRing(2**10 * 3**5)) == 126533
 
 
-@pytest.mark.parametrize("p,e,most", [(2, 16, 3), (3, 9, 2)])
-def test_the_ladder_descends_in_a_few_powers(monkeypatch, p, e, most):
-    """Each ladder residue takes its order from the descent of
-    monomial in at most `most` core.power_pm calls: 98,300 in all mod
-    2**16 and 26,241 mod 3**9, where a climb through o0 * p**j made 15
-    per residue mod 2**16 and 109,351 in all mod 3**9."""
-    power, calls = core.power_pm, [0]
-
-    def spy(*args):
-        calls[0] += 1
-        return power(*args)
-
-    monkeypatch.setattr(core, "power_pm", spy)
-    table = components.class_table(p, e, 0)
-    ladder = p ** (e - 1) * (1 if p == 2 else 2)
-    # the descent tests at least one power of every ladder residue
-    assert ladder <= calls[0] <= most * ladder
-    assert sum(count for _, count in table) == euler_phi(p**e)
+@pytest.mark.parametrize("p,e", [(2, 16), (3, 9), (5, 6), (7, 5)])
+def test_unit_table_equals_the_descent_of_each_unit(p, e):
+    """The closed-form unit classes give every unit the signature that
+    the descent of monomial._prime_power_size gives it on its own: O = r
+    for eps = +1, and O = 2r with -Id a power for eps = -1."""
+    factors: dict[int, dict[int, int]] = {}
+    descended: Counter = Counter()
+    for k in range(1, p**e):
+        if k % p:
+            r, eps = monomial._prime_power_size(p, e, k, factors)
+            descended[components.unit_signature(r if eps == 1 else 2 * r, eps == -1)] += 1
+    assert Counter(dict(components.class_table(p, e, 0))) == descended
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (3, 4), (5, 2), (7, 3), (13, 1), (101, 1), (1009, 1)])
@@ -195,34 +196,21 @@ def test_unit_table_factors_p_minus_and_plus_1_once(monkeypatch, p, e):
     assert sum(count for _, count in table) == euler_phi(p**e)
 
 
-def test_a_scan_builds_each_table_once(monkeypatch):
-    walk, walked = components.walk_signature, [0]
-
-    def spy(q, k):
-        walked[0] += 1
-        return walk(q, k)
-
-    monkeypatch.setattr(components, "walk_signature", spy)
-    counts = []
+def test_a_scan_builds_each_table_once():
+    builds = []
     for _ in range(2):  # the second scan starts as cold as the first
-        walked[0] = 0
         run_scan(ScanJob("omega", 2, 400))
-        counts.append(walked[0])
-    # the (p, e) the fold takes (every N but an odd p**e with e >= 2),
-    # each e walks (2 for q = 2)
-    folded = set()
-    for n in range(2, 401):
-        parts = factorize(n)
-        if not (len(parts) == 1 and 2 not in parts and max(parts.values()) >= 2):
-            folded.update(parts.items())
-    assert counts == [sum(2 if p**e == 2 else e for p, e in folded)] * 2
+        builds.append(components.class_table.cache_info().misses)
+    # every (p, e, v) of the components of 2..400, odd p**e included
+    keys = {(p, e, v) for n in range(2, 401) for p, e in factorize(n).items() for v in range(e + 1)}
+    assert builds == [len(keys)] * 2
 
 
 def test_an_omega_scan_factors_each_modulus_once(monkeypatch):
     """Each row's phi comes from the factorization its ring keeps, so an
-    omega scan factors each N once (crt_idempotents) and each odd p with
-    a unit table p - 1 and p + 1 once (divisor_phis): 399 + 170 calls
-    over 2..400."""
+    omega scan factors each N once (crt_idempotents), and the unit table
+    of each odd p**e factors p - 1 and p + 1 once (divisor_phis): 399 +
+    178 calls over 2..400."""
     factor, calls = _numbers.factorize, [0]
 
     def spy(n):
@@ -232,7 +220,7 @@ def test_an_omega_scan_factors_each_modulus_once(monkeypatch):
     monkeypatch.setattr(_numbers, "factorize", spy)
     monkeypatch.setattr(modring, "factorize", spy)
     rows = run_scan(ScanJob("omega", 2, 400)).rows
-    assert calls[0] == 569
+    assert calls[0] == 577
     assert all(row["phi"] == euler_phi(row["N"]) for row in rows)
 
 

@@ -13,8 +13,13 @@ Deciders walk their candidate list in ascending order and stop at the
 first reducible k, except that decide_semi on an even N past a measured
 crossover first counts the irreducible candidates by the fold of the
 components module and returns a True verdict without walking; only a
-False verdict walks, to find its first reducible k.  Predictors give
-the closed-form characterizations the deciders are checked against.
+False verdict walks, to find its first reducible k.  For an odd N, 2 is
+a unit, so the doubled units are the units and decide_semi is the walk
+of decide_quasi, labelled semi.  Predictors give the closed-form
+characterizations the deciders are checked against.  sizes_table reads
+the prime order rule of the monomial module; modulo a prime power p**e
+the order descent is a test oracle (tests/oracles.py), and the counts
+read the closed-form tables of the components module instead.
 
 The mirror k -> N - k halves every decision.  With D = diag(1, -1),
 M(-k) = -D M(k) D, so M(-k)**t = (-1)**t D M(k)**t D: the two residues
@@ -36,7 +41,7 @@ from typing import Callable, Iterable, Iterator
 from . import components
 from ._numbers import is_prime, prime_power
 from .modring import ResidueRing
-from .monomial import ReductionWitness, _prime_power_size, find_reduction
+from .monomial import ReductionWitness, _prime_size, find_reduction
 
 __all__ = [
     "DECIDERS",
@@ -65,10 +70,13 @@ MONOMIAL_SPORADIC = frozenset({4, 6, 8, 12, 24})
 # blocks of the product closure for semi irreducibility.
 SEMI_CLOSURE_PRIMES = frozenset({3, 5, 7, 17, 31, 127})
 
-# Even N from here on decide semi by the fold first (decide_semi).  Timed
-# per even N in 4..200, the loop alone is faster for N = 2p and for False
-# verdicts, the fold for True verdicts with 4 | N; their summed time is
-# least with the fold from 120 on, and about flat between 60 and 120.
+# Even N from here on decide semi by the fold first (decide_semi).  With
+# the class tables in closed form the loop below it saves no time: an
+# in-process semi scan of 4..800 took the same median time, within 5%
+# and in no fixed order, with this bound at 4, 12, 60 or 120 (2
+# processes of 6 alternated passes, 2-core machine).  It stays at 120
+# while perfbench/test_perfbench.py needs decide_semi(ResidueRing(10))
+# to call find_reduction.
 SEMI_FOLD_FROM = 120
 
 
@@ -147,12 +155,15 @@ def semi_candidates(ring: ResidueRing) -> list[int]:
 
 def decide_semi(ring: ResidueRing) -> ClassVerdict:
     """Is every doubled unit irreducible?  (True vacuously for N = 2.)
-    An even N >= SEMI_FOLD_FROM first counts the irreducible candidates
-    by the component fold; only when one is reducible does the loop
-    walk, to find the first."""
+    For an odd N the candidates are the units, so this is the walk of
+    decide_quasi, labelled semi.  An even N >= SEMI_FOLD_FROM first
+    counts the irreducible candidates by the component fold; only when
+    one is reducible does the loop walk, to find the first."""
     n = ring.modulus
+    if n % 2:  # 2 is a unit, so the doubled units are the units
+        return _decide(ring, "semi", _units(n))
     candidates = semi_candidates(ring)
-    if n % 2 == 0 and n >= SEMI_FOLD_FROM:
+    if n >= SEMI_FOLD_FROM:
         # per component, the candidates are the units mod each odd q and
         # the k with v_2(k) = 1 mod 2**a (k = 0 when a = 1)
         classes = [(p, e, (1,) if p == 2 else (0,)) for p, e, _ in ring.crt_idempotents]
@@ -301,4 +312,4 @@ def sizes_table(p: int) -> list[tuple[int, int]]:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     factors: dict[int, dict[int, int]] = {}  # p -+ 1 factored once for all rows
-    return [(k, _prime_power_size(p, 1, k, factors)[0]) for k in range(1, (p - 1) // 2 + 1)]
+    return [(k, _prime_size(p, k, factors)[0]) for k in range(1, (p - 1) // 2 + 1)]

@@ -9,7 +9,11 @@ irreducible_count, counts over any classes given per component:
 omega(N) over every residue (for classify.omega_count, whose oracle is
 the k-loop of classify.reducible_set), and the semi candidates of an
 even N over the units of each odd q and the k with v_2(k) = 1 mod 2**a
-(for classify.decide_semi, whose oracle is its own candidate loop).
+(for classify.decide_semi, whose oracle is its own candidate loop; an
+odd N has its units as semi candidates and decides them by the quasi
+walk, with no fold).  The tables are the library's only answer modulo
+p**e: the order descent from a known multiple that checks their units
+is a test oracle (tests/oracles.py).
 
 Hits.  With M = M(k) and a_t as in the core module (a_{-1} = 0,
 a_0 = 1, M**t = [[a_t, -a_{t-1}], [a_{t-1}, ...]]), the core match rule

@@ -8,6 +8,13 @@ when some bordered solution (x, k, ..., k, x) of length 3 <= l <= r-1
 exists; the complementary summand (k-x, k, ..., k, k-x) of length
 r-l+2 is then automatically a solution, so one bordered tuple is a
 complete witness.
+
+Over a prime modulus, minimal_size_prime_fast finds the order from a
+few powers of M(k) instead of a walk; modulo a prime power p**e the
+same descent, from g*p**(e-1), is a test oracle (tests/oracles.py) of
+the closed-form class tables of the components module.  The semi
+decision of an odd N is the quasi walk (see the classify module), since
+its doubled units are its units.
 """
 
 from __future__ import annotations
@@ -151,48 +158,39 @@ def _size_is_2_mod_4(p: int, k: int) -> bool:
 
 def minimal_size_prime_fast(p: int, k: int) -> tuple[int, int]:
     """minimal_size over a prime modulus, from a few powers of M(k):
-    _prime_power_size with e = 1, so no walk runs.  When only r mod 4
-    matters, as in the prime survey, _size_is_2_mod_4 answers with one
-    power.
+    _prime_size, so no walk runs.  When only r mod 4 matters, as in the
+    prime survey, _size_is_2_mod_4 answers with one power.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _prime_power_size(p, 1, k, {})
+    return _prime_size(p, k, {})
 
 
-def _prime_power_size(
-    p: int, e: int, k: int, factors: dict[int, dict[int, int]]
-) -> tuple[int, int]:
-    """minimal_size(p**e, k) for a prime p, which is not checked, by
-    descent from a known multiple.
+def _prime_size(p: int, k: int, factors: dict[int, dict[int, int]]) -> tuple[int, int]:
+    """minimal_size(p, k) for a prime p, which is not checked, by
+    descent from the multiple g of _multiple.
 
-    The kernel of SL_2(Z/p**e) -> SL_2(Z/p) has exponent p**(e-1), since
-    (Id + p**i*A)**p = Id + p**(i+1)*A' for i >= 1, p = 2 included; so
-    M(k)**(g*p**(e-1)) = Id with g from _multiple.  The t with
-    M(k)**t = +/-Id are the multiples of r, so r comes from that
-    multiple by dividing out one prime at a time while the power stays
-    +/-Id, one core.power_pm each.  Its primes are those of g and p,
-    and for g = 2, 3, p or 2p only 2 and p can leave: that g is the
-    order of M(k) mod p itself, so r mod p is g or g/2 and divides r.
+    The t with M(k)**t = +/-Id are the multiples of r, so r comes from
+    g by dividing out one prime at a time while the power stays +/-Id,
+    one core.power_pm each.  For g = 2, 3, p or 2p only 2 can leave:
+    that g is the order of M(k) mod p itself, so r is g or g/2.
     factors maps each g = p -+ 1 already factored to its factorization
     and gains the one this k needs, so classify.sizes_table, which
     passes the same dict for every k, factors each of p -+ 1 at most
-    once.  The library takes e = 1 only (minimal_size_prime_fast and
-    sizes_table); the class tables of the components module are in
-    closed form, and the tests check their units against this descent
-    for e > 1.
+    once.  Modulo p**e with e >= 2 the library's only answer is the
+    closed-form class tables of the components module; the tests check
+    them against the descent from g*p**(e-1) (tests/oracles.py).
     """
     g = _multiple(p, k)
     if p > 2 and g % p:  # p -+ 1
         if g not in factors:
             factors[g] = factorize(g)
-        primes = {*factors[g], p}
+        primes = list(factors[g])
     else:
-        primes = {2, p}
-    q = p**e
-    r, eps = g * p ** (e - 1), 1  # M(k)**r = Id
+        primes = [2]
+    r, eps = g, 1  # M(k)**g = Id
     for f in primes:
         # r // f = 1 needs no power: M(k) itself is never +/-Id
-        while r % f == 0 and r > f and (s := core.power_pm(q, k, r // f)):
+        while r % f == 0 and r > f and (s := core.power_pm(p, k, r // f)):
             r, eps = r // f, s
     return r, eps

@@ -370,13 +370,6 @@ def emit_appendix(which: str, *, workers: int = 1) -> list[dict]:
         raise ValueError("workers must be an integer")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if which == "A":
-        result = run_scan(ScanJob(kind="quasi", lo=2, hi=1000, workers=workers))
-        return [
-            {"N": row["N"], "tag": quasi_family(row["N"]) or "numerical_only"}
-            for row in result.rows
-            if row["verdict"]
-        ]
     if which == "B":
         rings = (ResidueRing(n) for n in range(6, 1001, 6) if quasi_family(n) == "two_three")
         return [{"N": r.modulus, "phi": _phi(r), "omega": omega_count(r)} for r in rings]
@@ -385,9 +378,14 @@ def emit_appendix(which: str, *, workers: int = 1) -> list[dict]:
             {"N": n, "reducible": [0] + reducible_set(ResidueRing(n))}
             for n in APPENDIX_C_MODULI
         ]
-    result = run_scan(ScanJob(kind="semi", lo=4, hi=2500, workers=workers))  # D
+    # A and D: the moduli a scan finds irreducible, tagged by family
+    kind, lo, hi, family = {
+        "A": ("quasi", 2, 1000, quasi_family),
+        "D": ("semi", 4, 2500, semi_family),
+    }[which]
+    result = run_scan(ScanJob(kind=kind, lo=lo, hi=hi, workers=workers))
     return [
-        {"N": row["N"], "tag": semi_family(row["N"]) or "numerical_only"}
+        {"N": row["N"], "tag": family(row["N"]) or "numerical_only"}
         for row in result.rows
         if row["verdict"]
     ]

@@ -16,19 +16,21 @@ brute force or by a second method, so the tests can compare the two:
     phi that classify and scan read from a ring's prime powers;
   * walk_signature: the (O, hits) signature of one k mod q from a walk
     of M(k), against the closed-form class tables of the components
-    module and its merge.
+    module and its merge;
+  * prime_power_size: the minimal size mod p**e by descent from a known
+    multiple, against the walk and the closed-form unit classes.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from monomod import scan
+from monomod import core, scan
 from monomod._numbers import factorize, sieve_primes
 from monomod.classify import reducible_set
 from monomod.components import Signature
 from monomod.modring import ResidueRing
-from monomod.monomial import ReductionWitness, minimal_size
+from monomod.monomial import ReductionWitness, _multiple, minimal_size
 
 
 def find_reduction_naive(ring: ResidueRing, k: int) -> ReductionWitness | None:
@@ -94,6 +96,25 @@ def walk_signature(q: int, k: int) -> Signature:
     if a == 1:
         return t, frozenset(hits)
     return 2 * t, frozenset(hits | {(-s, u + t, z, w) for s, u, z, w in hits})
+
+
+def prime_power_size(p: int, e: int, k: int) -> tuple[int, int]:
+    """minimal_size(p**e, k) for a prime p by descent from a known
+    multiple, with no walk.
+
+    The kernel of SL_2(Z/p**e) -> SL_2(Z/p) has exponent p**(e-1), since
+    (Id + p**i*A)**p = Id + p**(i+1)*A' for i >= 1, p = 2 included; so
+    M(k)**(g*p**(e-1)) = Id with g from monomial._multiple.  The t with
+    M(k)**t = +/-Id are the multiples of r, so r comes from that
+    multiple by dividing out each of its primes while the power stays
+    +/-Id, one core.power_pm each."""
+    q = p**e
+    r, eps = _multiple(p, k) * p ** (e - 1), 1  # M(k)**r = Id
+    for f in factorize(r):
+        # r // f = 1 needs no power: M(k) itself is never +/-Id
+        while r % f == 0 and r > f and (s := core.power_pm(q, k, r // f)):
+            r, eps = r // f, s
+    return r, eps
 
 
 def units_only(ring: ResidueRing) -> bool:

@@ -3,6 +3,8 @@ predictors, and the derived counts and tables."""
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -346,6 +348,28 @@ def test_decide_semi_equals_the_loop_alone(lo):
         ring = ResidueRing(n)
         loop = classify._decide(ring, "semi", semi_candidates(ring))
         assert decide_semi(ring) == loop, n
+
+
+@pytest.mark.parametrize("lo", range(3, 1502, 250))
+def test_odd_semi_is_the_quasi_walk(lo):
+    """For an odd N, 2 is a unit, so the doubled units are the units and
+    decide_semi is decide_quasi labelled semi."""
+    for n in range(lo, min(lo + 250, 1502), 2):
+        ring = ResidueRing(n)
+        assert decide_semi(ring) == dataclasses.replace(decide_quasi(ring), kind="semi"), n
+
+
+def test_odd_semi_lists_no_candidates_ahead():
+    # 255255 = 3*5*7*11*13*17 fails at k = 8; a list of its 92160 units
+    # made in advance would take megabytes
+    tracemalloc.start()
+    try:
+        verdict = decide_semi(ResidueRing(255255))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.verdict is False
+    assert peak < 64 * 1024, peak
 
 
 @pytest.mark.parametrize("n", [768, 2 * 3**5, 2**16])

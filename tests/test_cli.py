@@ -758,11 +758,12 @@ def test_package_reexports_every_module_surface():
 
 def test_oracles_and_dead_code_left_the_library():
     """The oracles live in tests/oracles.py (euler_phi too, since the
-    library reads phi from a ring's prime powers, and walk_signature,
-    since the class tables are in closed form), the unused CRT helpers
-    are gone, and the survey has no sampling knob."""
+    library reads phi from a ring's prime powers, and walk_signature and
+    the prime-power descent, since the class tables are in closed form),
+    the unused CRT helpers are gone, and the survey has no sampling
+    knob."""
     gone = {
-        "monomial": ("find_reduction_naive",),
+        "monomial": ("find_reduction_naive", "_prime_power_size"),
         "classify": ("units_only",),
         "scan": ("scan_conjecture_checked",),
         "construct": ("crt",),

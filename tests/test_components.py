@@ -13,7 +13,7 @@ from monomod._numbers import factorize, is_prime, prime_power
 from monomod.classify import omega_count, reducible_set
 from monomod.modring import Mat2, ResidueRing, elementary, identity
 from monomod.scan import ScanJob, run_scan
-from oracles import euler_phi, walk_signature
+from oracles import euler_phi, prime_power_size, walk_signature
 
 
 @pytest.fixture(autouse=True)
@@ -108,14 +108,14 @@ def test_a_table_takes_no_walk_and_no_power(monkeypatch, p, e):
         (core, "order_pm"),
         (core, "order_and_reduction"),
         (core, "power_pm"),
-        (monomial, "_prime_power_size"),
+        (monomial, "_prime_size"),
     ):
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     for v in range(e + 1):
         components.class_table(p, e, v)
     assert calls == []
     # nor can a table reach them under a name bound at import
-    assert not {"core", "monomial", "_prime_power_size"} & vars(components).keys()
+    assert not {"core", "monomial", "_prime_size"} & vars(components).keys()
 
 
 def test_merge_equals_the_walk_of_the_product():
@@ -171,13 +171,12 @@ def test_omega_far_past_the_tables():
 @pytest.mark.parametrize("p,e", [(2, 16), (3, 9), (5, 6), (7, 5)])
 def test_unit_table_equals_the_descent_of_each_unit(p, e):
     """The closed-form unit classes give every unit the signature that
-    the descent of monomial._prime_power_size gives it on its own: O = r
+    the descent of oracles.prime_power_size gives it on its own: O = r
     for eps = +1, and O = 2r with -Id a power for eps = -1."""
-    factors: dict[int, dict[int, int]] = {}
     descended: Counter = Counter()
     for k in range(1, p**e):
         if k % p:
-            r, eps = monomial._prime_power_size(p, e, k, factors)
+            r, eps = prime_power_size(p, e, k)
             descended[components.unit_signature(r if eps == 1 else 2 * r, eps == -1)] += 1
     assert Counter(dict(components.class_table(p, e, 0))) == descended
 

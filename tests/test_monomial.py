@@ -23,7 +23,7 @@ from monomod.monomial import (
     report,
 )
 from monomod.solutions import ModTuple, bordered_constraint_roots, solution_sign
-from oracles import find_reduction_naive
+from oracles import find_reduction_naive, prime_power_size
 
 
 @pytest.mark.parametrize(
@@ -176,10 +176,8 @@ def test_prime_power_descent_equals_the_walk(q):
     """The descent from g * p**(e-1) against core.order_pm, for every k
     mod q: units and non-units, the k = +/-2 ladders and p = 2."""
     p, e = prime_power(q)
-    factors: dict[int, dict[int, int]] = {}
     for k in range(q):
-        want = core.order_pm(q, k, q**3 + 1)
-        assert monomial._prime_power_size(p, e, k, factors) == want, k
+        assert prime_power_size(p, e, k) == core.order_pm(q, k, q**3 + 1), k
 
 
 def test_two_part_test_equals_the_full_size_for_small_primes():

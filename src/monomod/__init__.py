@@ -7,7 +7,6 @@ every one of them."""
 
 from .classify import *
 from .construct import *
-from .core import BACKEND
 from .modring import *
 from .monomial import *
 from .scan import *
@@ -22,5 +21,4 @@ __all__ = (
     + monomial.__all__
     + scan.__all__
     + solutions.__all__
-    + ["BACKEND"]
 )

@@ -9,17 +9,25 @@ Three nested families over N >= 2:
     a runs over residues invertible mod N (mod N/2 when N = 2 mod 4,
     otherwise the candidate set would be empty for half the units).
 
-Deciders walk their candidate list in ascending order and stop at the
-first reducible k, except that decide_semi on an even N past a measured
-crossover first counts the irreducible candidates by the fold of the
-components module and returns a True verdict without walking; only a
-False verdict walks, to find its first reducible k.  For an odd N, 2 is
-a unit, so the doubled units are the units and decide_semi is the walk
-of decide_quasi, labelled semi.  Predictors give the closed-form
-characterizations the deciders are checked against.  sizes_table reads
-the prime order rule of the monomial module; modulo a prime power p**e
-the order descent is a test oracle (tests/oracles.py), and the counts
-read the closed-form tables of the components module instead.
+All three deciders share one rule, _decide.  On an even N from
+FOLD_FROM on, the quasi and semi classes first ask the fold of the
+components module whether any residue of their candidate classes is
+reducible: the units of each odd prime power of N, and mod 2**a the
+units (quasi) or the k with v_2(k) = 1 (semi).  If none is, the verdict
+is True and nothing walks.  Otherwise, and for every other modulus and
+class, the candidate loop walks in ascending order and stops at the
+first reducible k.  Odd N and the monomial class always loop: an odd
+True verdict is an odd prime power, whose units all pass the skip test
+of monomial.find_reduction without a walk, and no even N from 120 on is
+monomially irreducible, so a fold there would only add its cost.  For
+an odd N, 2 is a unit, so the doubled units are the units and
+decide_semi is the walk of decide_quasi, labelled semi.
+
+Predictors give the closed-form characterizations the deciders are
+checked against.  sizes_table reads the prime order rule of the
+monomial module; modulo a prime power p**e the order descent is a test
+oracle (tests/oracles.py), and the counts read the closed-form tables
+of the components module instead.
 
 The mirror k -> N - k halves every decision.  With D = diag(1, -1),
 M(-k) = -D M(k) D, so M(-k)**t = (-1)**t D M(k)**t D: the two residues
@@ -70,14 +78,20 @@ MONOMIAL_SPORADIC = frozenset({4, 6, 8, 12, 24})
 # blocks of the product closure for semi irreducibility.
 SEMI_CLOSURE_PRIMES = frozenset({3, 5, 7, 17, 31, 127})
 
-# Even N from here on decide semi by the fold first (decide_semi).  With
-# the class tables in closed form the loop below it saves no time: an
-# in-process semi scan of 4..800 took the same median time, within 5%
+# Even N from here on decide quasi and semi by the fold first (_decide).
+# With the class tables in closed form the loop below it saves no time:
+# an in-process semi scan of 4..800 took the same median time, within 5%
 # and in no fixed order, with this bound at 4, 12, 60 or 120 (2
-# processes of 6 alternated passes, 2-core machine).  It stays at 120
-# while perfbench/test_perfbench.py needs decide_semi(ResidueRing(10))
-# to call find_reduction.
-SEMI_FOLD_FROM = 120
+# processes of 6 alternated passes, 2-core machine), and a quasi scan of
+# 2..800 did with it at 4 or 120 (0.104 and 0.102 s, medians of 6
+# alternated runs, same machine).  It stays at 120 while
+# perfbench/test_perfbench.py needs decide_semi(ResidueRing(10)) to call
+# find_reduction.
+FOLD_FROM = 120
+
+# The classes that fold first, each with v_2(k) of its candidates mod
+# 2**a; mod every odd prime power of N they are the units.
+_TWO_VALUATION = {"quasi": 0, "semi": 1}
 
 
 @dataclass(frozen=True)
@@ -91,9 +105,10 @@ class Counterexample:
 @dataclass(frozen=True)
 class ClassVerdict:
     """Outcome of one irreducibility class decision for one modulus.
-    checked_k lists the candidates decided, in order, those above N/2 by
-    the mirror (see the module docstring), including the failing one
-    when the verdict is negative."""
+    checked_k lists the candidates decided, in order, including the
+    failing one when the verdict is negative: by the loop, those above
+    N/2 by the mirror (see the module docstring), or all of them at once
+    by the fold of a True verdict."""
 
     modulus: int
     kind: str  # a key of DECIDERS
@@ -103,8 +118,15 @@ class ClassVerdict:
 
 
 def _decide(ring: ResidueRing, kind: str, candidates: Iterable[int]) -> ClassVerdict:
-    """candidates ascend and are closed under k -> N - k."""
+    """The one class decider (see the module docstring): the fold first
+    for a kind of _TWO_VALUATION on an even N >= FOLD_FROM, then the
+    loop.  candidates ascend and are closed under k -> N - k."""
     n = ring.modulus
+    two = _TWO_VALUATION.get(kind)
+    if two is not None and n % 2 == 0 and n >= FOLD_FROM:
+        classes = [(p, e, (two if p == 2 else 0,)) for p, e, _ in ring.crt_idempotents]
+        if not any(components.reducible_counts(classes)):
+            return ClassVerdict(n, kind, True, None, tuple(candidates))
     checked: list[int] = []
     for k in candidates:
         checked.append(k)
@@ -119,7 +141,8 @@ def _decide(ring: ResidueRing, kind: str, candidates: Iterable[int]) -> ClassVer
 
 
 def decide_monomial(ring: ResidueRing) -> ClassVerdict:
-    """Is every nonzero minimal monomial solution irreducible?"""
+    """Is every nonzero minimal monomial solution irreducible?  Always
+    by the loop (see the module docstring)."""
     return _decide(ring, "monomial", range(1, ring.modulus))
 
 
@@ -130,7 +153,8 @@ def _units(n: int) -> Iterator[int]:
 
 
 def decide_quasi(ring: ResidueRing) -> ClassVerdict:
-    """Is every invertible k irreducible?"""
+    """Is every invertible k irreducible?  An even N >= FOLD_FROM asks
+    the fold first; an odd N loops over its units, lazily."""
     return _decide(ring, "quasi", _units(ring.modulus))
 
 
@@ -156,20 +180,11 @@ def semi_candidates(ring: ResidueRing) -> list[int]:
 def decide_semi(ring: ResidueRing) -> ClassVerdict:
     """Is every doubled unit irreducible?  (True vacuously for N = 2.)
     For an odd N the candidates are the units, so this is the walk of
-    decide_quasi, labelled semi.  An even N >= SEMI_FOLD_FROM first
-    counts the irreducible candidates by the component fold; only when
-    one is reducible does the loop walk, to find the first."""
+    decide_quasi, labelled semi; an even N >= FOLD_FROM asks the fold
+    first, as decide_quasi does."""
     n = ring.modulus
-    if n % 2:  # 2 is a unit, so the doubled units are the units
-        return _decide(ring, "semi", _units(n))
-    candidates = semi_candidates(ring)
-    if n >= SEMI_FOLD_FROM:
-        # per component, the candidates are the units mod each odd q and
-        # the k with v_2(k) = 1 mod 2**a (k = 0 when a = 1)
-        classes = [(p, e, (1,) if p == 2 else (0,)) for p, e, _ in ring.crt_idempotents]
-        if components.irreducible_count(classes) == len(candidates):
-            return ClassVerdict(n, "semi", True, None, tuple(candidates))
-    return _decide(ring, "semi", candidates)
+    # 2 is a unit for an odd N, so the doubled units are the units
+    return _decide(ring, "semi", _units(n) if n % 2 else semi_candidates(ring))
 
 
 def predict_monomial(n: int) -> bool:
@@ -303,7 +318,8 @@ def omega_count(ring: ResidueRing) -> int:
     forces x in {0, k}, and every nonzero non-unit k = a*p**t is
     reducible (construct.witness_lemma41)."""
     classes = [(p, e, range(e + 1)) for p, e, _ in ring.crt_idempotents]  # every valuation
-    return components.irreducible_count(classes) - 1  # k = 0
+    # k = 0 is irreducible and not counted
+    return ring.modulus - 1 - sum(components.reducible_counts(classes))
 
 
 def sizes_table(p: int) -> list[tuple[int, int]]:

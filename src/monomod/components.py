@@ -1,19 +1,30 @@
-"""Irreducible residues counted by a fold over the prime-power
+"""Reducible residues counted by a fold over the prime-power
 components of N.
 
 Whether k is reducible mod N depends only on k mod each q = p**e
 exactly dividing N, through a small signature; residues with equal
 signatures are counted together, so a count costs a few tables per
 component and one product of them, not one walk per k.  One fold,
-irreducible_count, counts over any classes given per component:
-omega(N) over every residue (for classify.omega_count, whose oracle is
-the k-loop of classify.reducible_set), and the semi candidates of an
-even N over the units of each odd q and the k with v_2(k) = 1 mod 2**a
-(for classify.decide_semi, whose oracle is its own candidate loop; an
-odd N has its units as semi candidates and decides them by the quasi
-walk, with no fold).  The tables are the library's only answer modulo
-p**e: the order descent from a known multiple that checks their units
-is a test oracle (tests/oracles.py).
+reducible_counts, counts the reducible residues over any classes given
+per component, in terms that a caller sums or stops at.  Its callers:
+
+  * classify.omega_count sums them over every residue: omega(N) is
+    N - 1 less their sum.  Its oracle is the k-loop of
+    classify.reducible_set.
+  * The class decider classify._decide, on an even N from
+    classify.FOLD_FROM on, stops at the first term over its candidate
+    classes: the units of each odd q and the k with v_2(k) = 0 (quasi)
+    or v_2(k) = 1 (semi) mod 2**a.  With no term the verdict is True
+    and nothing walks; with one, the candidate loop finds the first
+    reducible k.  The loop alone is its oracle.  Odd N and the
+    monomial class take the loop with no fold: an odd True verdict is
+    an odd prime power, whose units all pass the skip test of
+    monomial.find_reduction without a walk, and no even N from 120 on
+    is monomially irreducible.
+
+The tables are the library's only answer modulo p**e: the order
+descent from a known multiple that checks their units is a test oracle
+(tests/oracles.py).
 
 Hits.  With M = M(k) and a_t as in the core module (a_{-1} = 0,
 a_0 = 1, M**t = [[a_t, -a_{t-1}], [a_{t-1}, ...]]), the core match rule
@@ -51,8 +62,8 @@ Tables.  class_table(p, e, v) holds the (signature, count) pairs
 over the k mod q = p**e of p-adic valuation v, 0 <= v <= e, in closed
 form: no walk and no power of M runs, so a table costs its classes and
 hits, not q.  A question names the classes it counts per component:
-omega all of them, v = 0 .. e, and the semi candidates v = 0 of each
-odd q and v = 1 of 2**a.
+omega all of them, v = 0 .. e, and the class deciders v = 0 of each
+odd q and v = 0 (quasi) or v = 1 (semi) of 2**a.
 
   * q = 2: 1 = -1 makes every hit one of both signs.  k = 0 has O = 2
     and the hit t = 0, x = 0 = k; k = 1 has O = 3 and the hits t = 0,
@@ -149,13 +160,13 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ._numbers import divisor_phis, inv_mod
 from .solutions import _valuation
 
-# classify.omega_count and classify.decide_semi are the callers, so
-# nothing here is public.
+# classify.omega_count and classify._decide are the callers, so nothing
+# here is public.
 __all__: list[str] = []
 
 Hit = tuple[int, int, bool, bool]  # (s, t, x = 0?, x = k?)
@@ -267,12 +278,15 @@ def reducible(one: Signature, two: Signature) -> bool:
     return False
 
 
-def irreducible_count(classes: Iterable[tuple[int, int, Iterable[int]]]) -> int:
-    """Number of residues k mod N with irreducible minimal solution
-    among the classes named, one (p, e, valuations) per prime-power
-    component of N: a k is counted when v_p(k mod p**e) is one of the
-    valuations of each component.  The largest table comes last, where
-    each pair is only tested, not merged."""
+def reducible_counts(classes: Iterable[tuple[int, int, Iterable[int]]]) -> Iterator[int]:
+    """The residues k mod N with reducible minimal solution among the
+    classes named, one (p, e, valuations) per prime-power component of
+    N (a k is among them when v_p(k mod p**e) is one of the valuations
+    of each component), counted in terms: one count per reducible
+    signature pair of the fold, yielded lazily.  Their sum is the
+    number of such residues, and the first one settles that there is
+    one.  The largest table comes last, where each pair is only
+    tested, not merged."""
     tables = sorted(
         (
             [pair for v in valuations for pair in class_table(p, e, v)]
@@ -287,9 +301,7 @@ def irreducible_count(classes: Iterable[tuple[int, int, Iterable[int]]]) -> int:
             for two, times in table:
                 merged[merge(one, two)] += count * times
         folded = merged
-    return sum(
-        count * times
-        for one, count in folded.items()
-        for two, times in tables[-1]
-        if not reducible(one, two)
-    )
+    for one, count in folded.items():
+        for two, times in tables[-1]:
+            if reducible(one, two):
+                yield count * times

@@ -18,7 +18,9 @@ brute force or by a second method, so the tests can compare the two:
     of M(k), against the closed-form class tables of the components
     module and its merge;
   * prime_power_size: the minimal size mod p**e by descent from a known
-    multiple, against the walk and the closed-form unit classes.
+    multiple, against the walk and the closed-form unit classes;
+  * decide_by_loop: a quasi or semi verdict by the ascending candidate
+    loop alone, against classify's deciders, which ask the fold first.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from math import gcd
 
 from monomod import core, scan
 from monomod._numbers import factorize, sieve_primes
-from monomod.classify import reducible_set
+from monomod.classify import ClassVerdict, Counterexample, reducible_set
 from monomod.components import Signature
 from monomod.modring import ResidueRing
-from monomod.monomial import ReductionWitness, _multiple, minimal_size
+from monomod.monomial import ReductionWitness, _multiple, find_reduction, minimal_size
 
 
 def find_reduction_naive(ring: ResidueRing, k: int) -> ReductionWitness | None:
@@ -132,6 +134,24 @@ def semi_candidates_by_gcd(n: int) -> list[int]:
         return [k for k in range(1, n) if gcd(k, n) == 1]
     base = n // 2 if n % 4 == 2 else n
     return [2 * a for a in range(1, n // 2) if gcd(a, base) == 1]
+
+
+def decide_by_loop(ring: ResidueRing, kind: str) -> ClassVerdict:
+    """Twin of decide_quasi and decide_semi with no fold: the candidates
+    by gcd, ascending, each k <= N/2 by find_reduction and each k > N/2
+    by its mirror N - k, up to the first reducible one."""
+    n = ring.modulus
+    if kind == "semi":
+        candidates = semi_candidates_by_gcd(n)
+    else:
+        candidates = [k for k in range(1, n) if gcd(k, n) == 1]
+    checked = []
+    for k in candidates:
+        checked.append(k)
+        witness = find_reduction(ring, k) if 2 * k <= n else None
+        if witness is not None:
+            return ClassVerdict(n, kind, False, Counterexample(k, witness), tuple(checked))
+    return ClassVerdict(n, kind, True, None, tuple(checked))
 
 
 def survey_spot_check(max_prime: int, sample_den: int) -> tuple[list[int], list[dict]]:

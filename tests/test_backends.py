@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import monomod
 from monomod import core
 
 
 def test_default_backend_is_reported():
-    assert monomod.BACKEND == core.BACKEND == "py"
+    assert core.BACKEND == "py"

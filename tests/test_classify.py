@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from monomod import classify, monomial, scan
+from monomod import classify, components, monomial, scan
 from monomod.classify import (
     DECIDERS,
     ClassVerdict,
@@ -29,10 +29,11 @@ from monomod.classify import (
     semi_family,
     sizes_table,
 )
+from monomod.components import reducible_counts
 from monomod._numbers import prime_power
 from monomod.modring import ResidueRing
 from monomod.monomial import find_reduction, minimal_size_prime_fast
-from oracles import euler_phi, semi_candidates_by_gcd, units_only
+from oracles import decide_by_loop, euler_phi, semi_candidates_by_gcd, units_only
 
 
 def test_decide_monomial_examples():
@@ -337,17 +338,24 @@ def test_nothing_above_half_the_modulus_is_walked(monkeypatch):
     assert {n for n, _ in calls} == set(range(2, 121)) | set(scan.APPENDIX_C_MODULI)
 
 
-# decide_semi folds first for even N from SEMI_FOLD_FROM on; classify._decide
-# is the loop alone, which it must equal verdict, counterexample and
-# checked_k included.
+# quasi and semi fold first for even N from FOLD_FROM on; the oracle
+# decide_by_loop is the loop alone, which each must equal, verdict,
+# counterexample and checked_k included.  The semi cases keep the ids
+# they had before quasi joined.
 
 
-@pytest.mark.parametrize("lo", range(2, 1501, 250))
-def test_decide_semi_equals_the_loop_alone(lo):
+@pytest.mark.parametrize(
+    "kind, lo",
+    [
+        pytest.param(kind, lo, id=str(lo) if kind == "semi" else f"{kind}-{lo}")
+        for kind in ("quasi", "semi")
+        for lo in range(2, 1501, 250)
+    ],
+)
+def test_decide_semi_equals_the_loop_alone(kind, lo):
     for n in range(lo, min(lo + 250, 1501)):
         ring = ResidueRing(n)
-        loop = classify._decide(ring, "semi", semi_candidates(ring))
-        assert decide_semi(ring) == loop, n
+        assert DECIDERS[kind](ring) == decide_by_loop(ring, kind), (kind, n)
 
 
 @pytest.mark.parametrize("lo", range(3, 1502, 250))
@@ -372,12 +380,37 @@ def test_odd_semi_lists_no_candidates_ahead():
     assert peak < 64 * 1024, peak
 
 
-@pytest.mark.parametrize("n", [768, 2 * 3**5, 2**16])
-def test_a_true_even_verdict_above_the_crossover_walks_nothing(monkeypatch, n):
-    assert n % 2 == 0 and n >= classify.SEMI_FOLD_FROM
+@pytest.mark.parametrize(
+    "kind, n",
+    [pytest.param("semi", n, id=str(n)) for n in (768, 2 * 3**5, 2**16)]
+    + [pytest.param("quasi", n, id=f"quasi-{n}") for n in (2**4 * 3**3, 2 * 3**5, 2**10)],
+)
+def test_a_true_even_verdict_above_the_crossover_walks_nothing(monkeypatch, kind, n):
+    assert n % 2 == 0 and n >= classify.FOLD_FROM
     calls = []
     monkeypatch.setattr(classify, "find_reduction", lambda ring, k: calls.append(k))
     ring = ResidueRing(n)
-    verdict = decide_semi(ring)
+    verdict = DECIDERS[kind](ring)
     assert calls == []
-    assert verdict == ClassVerdict(n, "semi", True, None, tuple(semi_candidates(ring)))
+    units = [k for k in range(1, n) if gcd(k, n) == 1]
+    candidates = semi_candidates(ring) if kind == "semi" else units
+    assert verdict == ClassVerdict(n, kind, True, None, tuple(candidates))
+
+
+@pytest.mark.parametrize("n", [119, 120, 121, 243, 255, 625, 1536, 2310])
+def test_only_even_quasi_and_semi_fold(monkeypatch, n):
+    """Odd N and the monomial class take the loop, with no fold; quasi
+    and semi fold once on an even N >= FOLD_FROM, whatever the verdict."""
+    folds = []
+
+    def spy(classes):
+        folds.append(classes)
+        return reducible_counts(classes)
+
+    monkeypatch.setattr(components, "reducible_counts", spy)
+    ring = ResidueRing(n)
+    for kind, decide in DECIDERS.items():
+        folds.clear()
+        decide(ring)
+        folded = kind != "monomial" and n % 2 == 0 and n >= classify.FOLD_FROM
+        assert len(folds) == folded, (kind, n)

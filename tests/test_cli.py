@@ -760,15 +760,15 @@ def test_oracles_and_dead_code_left_the_library():
     """The oracles live in tests/oracles.py (euler_phi too, since the
     library reads phi from a ring's prime powers, and walk_signature and
     the prime-power descent, since the class tables are in closed form),
-    the unused CRT helpers are gone, and the survey has no sampling
-    knob."""
+    the unused CRT helpers, the semi-only fold and the package's BACKEND
+    are gone, and the survey has no sampling knob."""
     gone = {
         "monomial": ("find_reduction_naive", "_prime_power_size"),
-        "classify": ("units_only",),
+        "classify": ("units_only", "SEMI_FOLD_FROM"),
         "scan": ("scan_conjecture_checked",),
         "construct": ("crt",),
         "_numbers": ("crt", "crt_pair", "euler_phi"),
-        "components": ("walk_signature",),
+        "components": ("walk_signature", "irreducible_count"),
     }
     for module_name, names in gone.items():
         module = importlib.import_module(f"monomod.{module_name}")
@@ -777,6 +777,7 @@ def test_oracles_and_dead_code_left_the_library():
             assert name not in monomod.__all__, name
     assert "euler_phi" not in monomod.__all__
     assert "euler_phi" not in monomod.classify.__all__
+    assert not hasattr(monomod, "BACKEND")  # core.BACKEND alone has readers
     assert list(inspect.signature(scan.scan_conjecture).parameters) == ["max_prime"]
 
 

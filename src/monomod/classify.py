@@ -9,19 +9,22 @@ Three nested families over N >= 2:
     a runs over residues invertible mod N (mod N/2 when N = 2 mod 4,
     otherwise the candidate set would be empty for half the units).
 
-All three deciders share one rule, _decide.  On an even N from
-FOLD_FROM on, the quasi and semi classes first ask the fold of the
-components module whether any residue of their candidate classes is
+All three deciders share one rule, _decide.  When N = p**e and every
+candidate is a unit, the verdict is True by the paper's Lemma 4.1, with
+no call per candidate: x*(x-k) = 0 mod p**e with k a unit forces x in
+{0, k}, so no border but 0 and k exists.  That covers quasi for every
+prime power, semi for an odd one and monomial for a prime.  On an even
+N from FOLD_FROM on, the quasi and semi classes first ask the fold of
+the components module whether any residue of their candidate classes is
 reducible: the units of each odd prime power of N, and mod 2**a the
 units (quasi) or the k with v_2(k) = 1 (semi).  If none is, the verdict
 is True and nothing walks.  Otherwise, and for every other modulus and
 class, the candidate loop walks in ascending order and stops at the
-first reducible k.  Odd N and the monomial class always loop: an odd
-True verdict is an odd prime power, whose units all pass the skip test
-of monomial.find_reduction without a walk, and no even N from 120 on is
-monomially irreducible, so a fold there would only add its cost.  For
-an odd N, 2 is a unit, so the doubled units are the units and
-decide_semi is the walk of decide_quasi, labelled semi.
+first reducible k.  Odd N and the monomial class have no fold: an odd
+True verdict is an odd prime power, which the lemma settles, and no
+even N from 120 on is monomially irreducible, so a fold there would
+only add its cost.  For an odd N, 2 is a unit, so the doubled units are
+the units and decide_semi is the walk of decide_quasi, labelled semi.
 
 Predictors give the closed-form characterizations the deciders are
 checked against.  sizes_table reads the prime order rule of the
@@ -118,10 +121,16 @@ class ClassVerdict:
 
 
 def _decide(ring: ResidueRing, kind: str, candidates: Iterable[int]) -> ClassVerdict:
-    """The one class decider (see the module docstring): the fold first
-    for a kind of _TWO_VALUATION on an even N >= FOLD_FROM, then the
-    loop.  candidates ascend and are closed under k -> N - k."""
+    """The one class decider (see the module docstring): Lemma 4.1 when
+    N is a prime power and the candidates are units, the fold for a kind
+    of _TWO_VALUATION on an even N >= FOLD_FROM, then the loop.
+    candidates ascend and are closed under k -> N - k."""
     n = ring.modulus
+    # parity first: an even semi N has non-unit candidates and reads nothing
+    if kind != "semi" or n % 2:
+        (_, e, _), *others = ring.crt_idempotents
+        if not others and (kind != "monomial" or e == 1):
+            return ClassVerdict(n, kind, True, None, tuple(candidates))
     two = _TWO_VALUATION.get(kind)
     if two is not None and n % 2 == 0 and n >= FOLD_FROM:
         classes = [(p, e, (two if p == 2 else 0,)) for p, e, _ in ring.crt_idempotents]
@@ -141,8 +150,8 @@ def _decide(ring: ResidueRing, kind: str, candidates: Iterable[int]) -> ClassVer
 
 
 def decide_monomial(ring: ResidueRing) -> ClassVerdict:
-    """Is every nonzero minimal monomial solution irreducible?  Always
-    by the loop (see the module docstring)."""
+    """Is every nonzero minimal monomial solution irreducible?  A prime
+    by Lemma 4.1, any other N by the loop (see the module docstring)."""
     return _decide(ring, "monomial", range(1, ring.modulus))
 
 
@@ -153,8 +162,9 @@ def _units(n: int) -> Iterator[int]:
 
 
 def decide_quasi(ring: ResidueRing) -> ClassVerdict:
-    """Is every invertible k irreducible?  An even N >= FOLD_FROM asks
-    the fold first; an odd N loops over its units, lazily."""
+    """Is every invertible k irreducible?  A prime power by Lemma 4.1;
+    any other even N >= FOLD_FROM asks the fold first; any other N loops
+    over its units, lazily."""
     return _decide(ring, "quasi", _units(ring.modulus))
 
 
@@ -179,9 +189,10 @@ def semi_candidates(ring: ResidueRing) -> list[int]:
 
 def decide_semi(ring: ResidueRing) -> ClassVerdict:
     """Is every doubled unit irreducible?  (True vacuously for N = 2.)
-    For an odd N the candidates are the units, so this is the walk of
-    decide_quasi, labelled semi; an even N >= FOLD_FROM asks the fold
-    first, as decide_quasi does."""
+    For an odd N the candidates are the units, so this is decide_quasi's
+    decision, labelled semi: Lemma 4.1 for an odd prime power, the walk
+    otherwise; an even N >= FOLD_FROM asks the fold first, as
+    decide_quasi does."""
     n = ring.modulus
     # 2 is a unit for an odd N, so the doubled units are the units
     return _decide(ring, "semi", _units(n) if n % 2 else semi_candidates(ring))
@@ -263,6 +274,14 @@ def predict_conjecture(p: int) -> bool:
     with a >= 2 and m odd, and it has such a divisor, 4 * d with d > 1
     odd, iff m > 1; e = 4 itself is lambda**2 = -1, i.e. k = 0, which
     the survey leaves out.
+
+    Such a k is built from any k0 whose lambda has order 2**a * d,
+    d > 1, in the group of order 2**a * m: tr M**(2n) = (tr M**n)**2 - 2
+    in SL_2, so a - 2 steps of k -> k*k - 2 from k0 give k = mu + 1/mu
+    with mu = lambda**(2**(a-2)) of order e = 4d.  The full 2-part 2**a
+    of its order makes lambda a non-square of the group, which holds iff
+    k0 + 2 is not a square mod p, since (lambda + 1)**2 = lambda *
+    (k0 + 2).  The survey tries these k first (monomial._built_2_mod_4).
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")

@@ -4,8 +4,9 @@ Every subcommand supports --format text|json|csv.  JSON output is one
 object (or one object per row for streaming scans); errors in JSON mode
 are a single structured object, never partial output.  Exit codes:
 0 success, 1 anomaly (a predictor disagreed or a certificate failed to
-verify), 2 usage or bad arguments, 141 (128 + SIGPIPE) when the reader
-of stdout went away early, as in `monomod scan ... | head`.
+verify), 2 usage or bad arguments, an input too large for memory
+included, 141 (128 + SIGPIPE) when the reader of stdout went away
+early, as in `monomod scan ... | head`.
 """
 
 from __future__ import annotations
@@ -371,6 +372,8 @@ def run(argv: list[str] | None = None) -> int:
         return 141
     except (CheckpointError, ValueError) as exc:
         return _fail(args, str(exc))
+    except MemoryError:
+        return _fail(args, "not enough memory for this input")
     except OSError as exc:
         return _fail(args, str(exc), code=1)
 

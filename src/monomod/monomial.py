@@ -12,14 +12,18 @@ complete witness.
 Over a prime modulus, minimal_size_prime_fast finds the order from a
 few powers of M(k) instead of a walk; modulo a prime power p**e the
 same descent, from g*p**(e-1), is a test oracle (tests/oracles.py) of
-the closed-form class tables of the components module.  The semi
-decision of an odd N is the quasi walk (see the classify module), since
-its doubled units are its units.
+the closed-form class tables of the components module.  For the prime
+survey, _size_is_2_mod_4 tells r = 2 (mod 4) from one power, and
+_built_2_mod_4 builds the k that have it from traces of powers of
+M(k0), so the survey need not search for them.  The semi decision of an
+odd N is the quasi walk (see the classify module), since its doubled
+units are its units.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import core
 from ._numbers import factorize, is_prime
@@ -150,16 +154,55 @@ def _size_is_2_mod_4(p: int, k: int) -> bool:
     SL_2(F_p).  With g = 2**a * m (see _multiple), m odd, that holds iff
     a >= 2 and M(k)**(2m) = -Id: the order divides 4m but not 2m.  One
     power instead of the full order; g = p or 2p (k = +/-2) is never
-    0 mod 4, and r = p there.
+    0 mod 4, and r = p there.  scan.scan_conjecture asks it first about
+    the k of _built_2_mod_4, which all pass, and then about [1, (p-1)/2]
+    in ascending order, which only a prime with no k built needs.
     """
     g = _multiple(p, k)
     return g % 4 == 0 and core.power_pm(p, k, 2 * g // (g & -g)) == -1
 
 
+def _built_2_mod_4(p: int) -> Iterator[int]:
+    """The k in [1, (p-1)/2] with r = 2 (mod 4) over an odd prime p, which
+    is not checked, that the proof of classify.predict_conjecture
+    builds, lazily.
+
+    Let s = 2**a * m, m odd, be whichever of p -+ 1 is 0 mod 4.  Each k0
+    with _multiple(p, k0) = s has its eigenvalue lam in a cyclic group
+    of order s.  Then k1 = tr M(k0)**(2**(a-2)) = mu + 1/mu with
+    mu = lam**(2**(a-2)): a - 2 steps of k -> k*k - 2, since
+    tr M**(2n) = (tr M**n)**2 - 2 in SL_2.  When lam has order 2**a * d,
+    the full 2-part, with d > 1, mu has order 4d, so M(k1)**(2d) = -Id
+    and r(k1) = 2d.  The full 2-part means that lam is not a square in
+    its group.  Now (lam + 1)**2 = lam * (k0 + 2), so the square roots of
+    lam are +/-(lam + 1)/sqrt(k0 + 2), and they lie in lam's group (F_p*,
+    or the norm-1 torus, where N(lam + 1) = k0 + 2) iff k0 + 2 is a
+    square mod p: only the other k0 are used.  d = 1 gives k1 = 0, which
+    is left out (r = 2, but the survey leaves k = 0 out).  So every k
+    given has r = 2 mod 4.  -k0 has eigenvalue -lam, a non-square with
+    lam since -1 = lam**(s/2) is a square, and gives k1 up to sign; so
+    k0 runs over [3, (p-1)/2] and k1 is folded to min(k1, p - k1).  For
+    m = 1, a Fermat or a Mersenne prime, nothing is built.  The survey
+    still tests each k given with _size_is_2_mod_4.
+    """
+    s = p - 1 if p % 4 == 1 else p + 1
+    if s == s & -s:  # m = 1
+        return
+    steps = (s & -s).bit_length() - 3  # a - 2
+    for k0 in range(3, (p + 1) // 2):
+        if _multiple(p, k0) == s and pow(k0 + 2, (p - 1) // 2, p) != 1:
+            k = k0
+            for _ in range(steps):
+                k = (k * k - 2) % p
+            if k:
+                yield min(k, p - k)
+
+
 def minimal_size_prime_fast(p: int, k: int) -> tuple[int, int]:
     """minimal_size over a prime modulus, from a few powers of M(k):
     _prime_size, so no walk runs.  When only r mod 4 matters, as in the
-    prime survey, _size_is_2_mod_4 answers with one power.
+    prime survey, _size_is_2_mod_4 answers with one power, and
+    _built_2_mod_4 builds the k to ask about.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -17,7 +17,7 @@ import os
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 from . import components
@@ -32,7 +32,7 @@ from .classify import (
     semi_family,
 )
 from .modring import ResidueRing
-from .monomial import _size_is_2_mod_4, minimal_size_prime_fast
+from .monomial import _built_2_mod_4, _size_is_2_mod_4, minimal_size_prime_fast
 
 __all__ = [
     "CheckpointError",
@@ -330,25 +330,32 @@ def _append_checkpoint(job: ScanJob, result: ScanResult) -> None:
 
 def scan_conjecture(max_prime: int) -> list[int]:
     """Odd primes p <= max_prime whose nonzero minimal sizes all avoid
-    2 mod 4; stops scanning a prime at its first k in [1,(p-1)/2] that
-    lands on 2 mod 4.  Each k is tested with monomial._size_is_2_mod_4,
-    one power of M(k), and the k that eliminates a prime is confirmed
-    with minimal_size_prime_fast: a disagreement raises RuntimeError."""
+    2 mod 4.
+
+    Each prime stops at its first k that lands on 2 mod 4.  The k tried
+    first are those that the proof of classify.predict_conjecture
+    builds from traces of powers of M(k0) (monomial._built_2_mod_4);
+    then comes the ascending scan of [1, (p-1)/2].  So a survivor, for
+    which nothing is built, is proved by the full scan, and a prime
+    whose built k all failed would fall through to the same scan.  Every
+    k is tested with monomial._size_is_2_mod_4, one power of M(k), and
+    the k that eliminates a prime is confirmed with
+    minimal_size_prime_fast: a disagreement raises RuntimeError."""
     if max_prime < 3:
         raise ValueError("max_prime must be >= 3")
     survivors = []
     for p in sieve_primes(max_prime)[1:]:  # the odd primes
-        for k in range(1, (p - 1) // 2 + 1):
-            if _size_is_2_mod_4(p, k):
-                r, _ = minimal_size_prime_fast(p, k)
-                if r % 4 != 2:
-                    raise RuntimeError(
-                        f"p={p}, k={k}: the 2-part test says r = 2 mod 4, "
-                        f"but minimal_size_prime_fast gives r={r}"
-                    )
-                break
-        else:
+        ks = chain(_built_2_mod_4(p), range(1, (p - 1) // 2 + 1))
+        k = next((k for k in ks if _size_is_2_mod_4(p, k)), None)
+        if k is None:
             survivors.append(p)
+            continue
+        r, _ = minimal_size_prime_fast(p, k)
+        if r % 4 != 2:
+            raise RuntimeError(
+                f"p={p}, k={k}: the 2-part test says r = 2 mod 4, "
+                f"but minimal_size_prime_fast gives r={r}"
+            )
     return survivors
 
 

@@ -8,8 +8,11 @@ brute force or by a second method, so the tests can compare the two:
   * units_only: the full reducible set of one modulus, against the
     theorem that irreducibility is invertibility exactly for N = 2 and
     the odd prime powers;
-  * survey_spot_check: the generic walk on a sample of the prime
-    survey's (p, k) pairs, against its powers of M(k);
+  * survey_by_scan: the prime survey by the ascending scan of every k
+    alone, against scan.scan_conjecture, which tries first the k that
+    the proof of classify.predict_conjecture builds;
+  * survey_spot_check: the generic walk on a sample of the (p, k) pairs
+    of survey_by_scan, against the survey's powers of M(k);
   * semi_candidates_by_gcd: one gcd per a < N/2, against the sieve of
     classify.semi_candidates;
   * euler_phi: Euler's totient from a fresh factorization, against the
@@ -26,6 +29,7 @@ brute force or by a second method, so the tests can compare the two:
 from __future__ import annotations
 
 from math import gcd
+from typing import Callable
 
 from monomod import core, scan
 from monomod._numbers import factorize, sieve_primes
@@ -154,33 +158,53 @@ def decide_by_loop(ring: ResidueRing, kind: str) -> ClassVerdict:
     return ClassVerdict(n, kind, True, None, tuple(checked))
 
 
+def survey_by_scan(
+    max_prime: int, size_is_2_mod_4: Callable[[int, int], bool] | None = None
+) -> list[int]:
+    """Twin of scan.scan_conjecture with nothing built: each odd prime
+    p scans k = 1, 2, ... up to (p-1)/2 and stops at its first k with
+    r = 2 mod 4, which minimal_size_prime_fast must confirm, as the
+    survey did before it built its k.  The 2-part test is
+    size_is_2_mod_4, scan's own binding when None; both it and the
+    confirmation are read from scan, so a fault patched in there shows
+    here too."""
+    test = size_is_2_mod_4 or scan._size_is_2_mod_4
+    survivors = []
+    for p in sieve_primes(max_prime)[1:]:  # the odd primes
+        for k in range(1, (p - 1) // 2 + 1):
+            if test(p, k):
+                r, _ = scan.minimal_size_prime_fast(p, k)
+                if r % 4 != 2:
+                    raise RuntimeError(f"p={p}, k={k}: r={r} is not 2 mod 4")
+                break
+        else:
+            survivors.append(p)
+    return survivors
+
+
 def survey_spot_check(max_prime: int, sample_den: int) -> tuple[list[int], list[dict]]:
     """The prime survey's survivors and the anomalies of a deterministic
     spot check.
 
-    Walks the (p, k) pairs scan.scan_conjecture examines, stopping each
-    prime at its first k with r = 2 mod 4.  A pair with
+    Runs survey_by_scan, whose ascending scan reaches every k up to each
+    prime's first k with r = 2 mod 4.  A pair with
     (p*1009 + k*101) % sample_den == 0 is recomputed with the generic
     walk, and reported when the walk's (r, eps) differs from
     minimal_size_prime_fast's or its r = 2 mod 4 verdict from
     _size_is_2_mod_4's.  Both are read from scan, the survey's own
     bindings, so a fault patched in there shows here.  The survivors
     must equal scan_conjecture(max_prime)'s."""
-    survivors = []
     anomalies: list[dict] = []
-    for p in sieve_primes(max_prime)[1:]:  # the odd primes
-        for k in range(1, (p - 1) // 2 + 1):
-            hit = scan._size_is_2_mod_4(p, k)
-            if (p * 1009 + k * 101) % sample_den == 0:
-                fast = scan.minimal_size_prime_fast(p, k)
-                walked = minimal_size(ResidueRing(p), k)
-                if walked != fast or hit != (walked[0] % 4 == 2):
-                    anomalies.append(
-                        {"p": p, "k": k, "fast": list(fast), "walk": list(walked)}
-                    )
-            if hit:
-                break
-        else:
-            survivors.append(p)
+
+    def sampled(p: int, k: int) -> bool:
+        hit = scan._size_is_2_mod_4(p, k)
+        if (p * 1009 + k * 101) % sample_den == 0:
+            fast = scan.minimal_size_prime_fast(p, k)
+            walked = minimal_size(ResidueRing(p), k)
+            if walked != fast or hit != (walked[0] % 4 == 2):
+                anomalies.append({"p": p, "k": k, "fast": list(fast), "walk": list(walked)})
+        return hit
+
+    survivors = survey_by_scan(max_prime, sampled)
     assert survivors == scan.scan_conjecture(max_prime), max_prime
     return survivors, anomalies

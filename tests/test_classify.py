@@ -414,3 +414,32 @@ def test_only_even_quasi_and_semi_fold(monkeypatch, n):
         decide(ring)
         folded = kind != "monomial" and n % 2 == 0 and n >= classify.FOLD_FROM
         assert len(folds) == folded, (kind, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 25, 27, 49, 121, 128, 243, 625, 1009, 2048, 3**7])
+def test_a_true_verdict_by_lemma_41_calls_nothing_per_candidate(monkeypatch, n):
+    """Lemma 4.1: when N = p**e and every candidate is a unit, the verdict
+    is True with no find_reduction call: quasi for every prime power,
+    semi for an odd one and monomial for a prime.  Each verdict equals
+    the loop's, checked_k included."""
+    ring = ResidueRing(n)
+    _, e = prime_power(n)
+    want = {kind: decide_by_loop(ring, kind) for kind in ("quasi", "semi")}
+    if e == 1:
+        assert all(find_reduction(ring, k) is None for k in range(1, n))
+        want["monomial"] = ClassVerdict(n, "monomial", True, None, tuple(range(1, n)))
+    calls = []
+
+    def spy(ring, k):
+        calls.append(k)
+        return find_reduction(ring, k)
+
+    monkeypatch.setattr(classify, "find_reduction", spy)
+    for kind, decide in DECIDERS.items():
+        calls.clear()
+        verdict = decide(ring)
+        if kind in want:
+            assert verdict == want[kind], (kind, n)
+        by_lemma = kind == "quasi" or (kind == "semi" and n % 2) or (kind == "monomial" and e == 1)
+        if by_lemma:
+            assert calls == [], (kind, n)

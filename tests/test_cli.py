@@ -697,6 +697,26 @@ def test_conjecture_bad_bound(capsys):
     assert run(["conjecture", "--max", "2"]) == 2
 
 
+def test_out_of_memory_is_a_usage_error_not_a_traceback(capsys, monkeypatch):
+    """A bound whose sieve does not fit in memory (--max 10**10 and up)
+    fails as a usage error; the sieve is patched to fail as it would."""
+
+    def no_memory(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(scan, "sieve_primes", no_memory)
+    argv = ["conjecture", "--max", str(10**10)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: not enough memory for this input\n")
+    assert run(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "error": {"message": "not enough memory for this input", "code": 2}
+    }
+
+
 def test_appendix_c_json(capsys):
     assert run(["appendix", "C", "--format", "json"]) == 0
     table = json.loads(capsys.readouterr().out)

@@ -12,10 +12,10 @@ import tracemalloc
 import pytest
 
 from conftest import load_data
-from monomod import classify, cli, scan
+from monomod import classify, cli, monomial, scan
 from monomod.classify import omega_count, predict_conjecture, predict_quasi, semi_family
 from monomod.modring import ResidueRing
-from monomod.monomial import minimal_size_prime_fast
+from monomod.monomial import minimal_size, minimal_size_prime_fast
 from monomod.scan import (
     CheckpointError,
     ScanJob,
@@ -26,7 +26,7 @@ from monomod.scan import (
     scan_conjecture,
 )
 from monomod._numbers import sieve_primes
-from oracles import euler_phi, survey_spot_check
+from oracles import euler_phi, survey_by_scan, survey_spot_check
 
 
 def test_scan_job_validates_fields():
@@ -756,6 +756,52 @@ def test_conjecture_equals_the_full_size_survey(n):
 def test_conjecture_equals_its_closed_form(n):
     odd_primes = sieve_primes(n)[1:]
     assert scan_conjecture(n) == [p for p in odd_primes if predict_conjecture(p)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 16, 17, 256, 257, 1000, 3000, 20000])
+def test_conjecture_equals_the_ascending_survey(n):
+    assert scan_conjecture(n) == survey_by_scan(n)
+
+
+def test_every_built_k_has_size_2_mod_4():
+    """The construction of predict_conjecture's proof, for every odd
+    prime p <= 5000: nothing is built for a Fermat or Mersenne prime;
+    otherwise every built k lies in [1, (p-1)/2], so never 0, and passes
+    the 2-part test, and the first one's size from the generic walk is
+    2 mod 4 with sign -1."""
+    for p in sieve_primes(5000)[1:]:
+        built = list(monomial._built_2_mod_4(p))
+        if predict_conjecture(p):
+            assert built == [], p
+            continue
+        assert built, p
+        assert all(1 <= k <= (p - 1) // 2 for k in built), p
+        assert all(monomial._size_is_2_mod_4(p, k) for k in built), p
+        r, eps = minimal_size(ResidueRing(p), built[0])
+        assert (r % 4, eps) == (2, -1), (p, built[0])
+
+
+def test_conjecture_tests_one_k_per_eliminated_prime(monkeypatch):
+    """The built k eliminates each prime at the first 2-part test, and
+    only a survivor pays for the ascending scan."""
+    calls = []
+    test = scan._size_is_2_mod_4
+
+    def counted(p, k):
+        calls.append(p)
+        return test(p, k)
+
+    monkeypatch.setattr(scan, "_size_is_2_mod_4", counted)
+    survivors = scan_conjecture(3000)
+    odd_primes = sieve_primes(3000)[1:]
+    assert len(calls) == len(odd_primes) - len(survivors) + sum(
+        (p - 1) // 2 for p in survivors
+    )
+
+
+def test_conjecture_falls_through_to_the_scan(monkeypatch):
+    monkeypatch.setattr(scan, "_built_2_mod_4", lambda p: iter(()))
+    assert scan_conjecture(3000) == [3, 5, 7, 17, 31, 127, 257]
 
 
 @pytest.mark.parametrize(

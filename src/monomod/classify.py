@@ -19,18 +19,25 @@ the components module whether any residue of their candidate classes is
 reducible: the units of each odd prime power of N, and mod 2**a the
 units (quasi) or the k with v_2(k) = 1 (semi).  If none is, the verdict
 is True and nothing walks.  Otherwise, and for every other modulus and
-class, the candidate loop walks in ascending order and stops at the
-first reducible k.  Odd N and the monomial class have no fold: an odd
-True verdict is an odd prime power, which the lemma settles, and no
-even N from 120 on is monomially irreducible, so a fold there would
-only add its cost.  For an odd N, 2 is a unit, so the doubled units are
-the units and decide_semi is the walk of decide_quasi, labelled semi.
+class, the candidates are taken in ascending order, and each k <= N/2
+is decided with no walk: irreducible when 0 and k are its only border
+roots (solutions.bordered_root_count), and otherwise by the component
+signatures of k, merged as the fold merges them
+(components.residue_reducible).  find_reduction walks once, on the
+first k they call reducible, for its witness; a walk that finds none
+contradicts the signatures and raises RuntimeError.  Only an even
+quasi or semi N below FOLD_FROM keeps the older loop, one find_reduction
+per candidate.  Odd N and the monomial class have no fold: an odd True
+verdict is an odd prime power, which the lemma settles, and no even N
+from 120 on is monomially irreducible, so a fold there would only add
+its cost.  For an odd N, 2 is a unit, so the doubled units are the
+units and decide_semi is the search of decide_quasi, labelled semi.
 
 Predictors give the closed-form characterizations the deciders are
-checked against.  sizes_table reads the prime order rule of the
-monomial module; modulo a prime power p**e the order descent is a test
-oracle (tests/oracles.py), and the counts read the closed-form tables
-of the components module instead.
+checked against.  sizes_table reads the order descent of the monomial
+module, monomial._prime_size, which also gives the signature of a unit
+k mod p**e; the counts read the closed-form tables of the components
+module.
 
 The mirror k -> N - k halves every decision.  With D = diag(1, -1),
 M(-k) = -D M(k) D, so M(-k)**t = (-1)**t D M(k)**t D: the two residues
@@ -39,7 +46,7 @@ Likewise (x, k, ..., k, x) of length l solves with sign s iff
 (-x, -k, ..., -k, -x) solves with sign (-1)**l s, so k and N - k are
 reducible together.  All three candidate sets are closed under
 k -> N - k, so the first reducible candidate in ascending order is at
-most N/2: deciders and counts call find_reduction only for 2k <= N.
+most N/2: deciders and counts decide only the k with 2k <= N.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from . import components
 from ._numbers import is_prime, prime_power
 from .modring import ResidueRing
 from .monomial import ReductionWitness, _prime_size, find_reduction
+from .solutions import bordered_root_count
 
 __all__ = [
     "DECIDERS",
@@ -81,15 +89,16 @@ MONOMIAL_SPORADIC = frozenset({4, 6, 8, 12, 24})
 # blocks of the product closure for semi irreducibility.
 SEMI_CLOSURE_PRIMES = frozenset({3, 5, 7, 17, 31, 127})
 
-# Even N from here on decide quasi and semi by the fold first (_decide).
-# With the class tables in closed form the loop below it saves no time:
-# an in-process semi scan of 4..800 took the same median time, within 5%
-# and in no fixed order, with this bound at 4, 12, 60 or 120 (2
-# processes of 6 alternated passes, 2-core machine), and a quasi scan of
-# 2..800 did with it at 4 or 120 (0.104 and 0.102 s, medians of 6
-# alternated runs, same machine).  It stays at 120 while
-# perfbench/test_perfbench.py needs decide_semi(ResidueRing(10)) to call
-# find_reduction.
+# Even N from here on decide quasi and semi by the fold first, and below
+# it by one find_reduction per candidate.  With the class tables in
+# closed form the loop below it saves no time: an in-process semi scan
+# of 4..800 took the same median time, within 5% and in no fixed order,
+# with this bound at 4, 12, 60 or 120 (2 processes of 6 alternated
+# passes, 2-core machine), and a quasi scan of 2..800 did with it at 4
+# or 120 (0.104 and 0.102 s, medians of 6 alternated runs, same
+# machine); both were measured before the per-k signatures.  It stays
+# at 120 while perfbench/test_perfbench.py needs
+# decide_semi(ResidueRing(10)) to call find_reduction.
 FOLD_FROM = 120
 
 # The classes that fold first, each with v_2(k) of its candidates mod
@@ -109,9 +118,9 @@ class Counterexample:
 class ClassVerdict:
     """Outcome of one irreducibility class decision for one modulus.
     checked_k lists the candidates decided, in order, including the
-    failing one when the verdict is negative: by the loop, those above
+    failing one when the verdict is negative: one by one, those above
     N/2 by the mirror (see the module docstring), or all of them at once
-    by the fold of a True verdict."""
+    by the lemma or the fold of a True verdict."""
 
     modulus: int
     kind: str  # a key of DECIDERS
@@ -123,7 +132,10 @@ class ClassVerdict:
 def _decide(ring: ResidueRing, kind: str, candidates: Iterable[int]) -> ClassVerdict:
     """The one class decider (see the module docstring): Lemma 4.1 when
     N is a prime power and the candidates are units, the fold for a kind
-    of _TWO_VALUATION on an even N >= FOLD_FROM, then the loop.
+    of _TWO_VALUATION on an even N >= FOLD_FROM, then the candidates in
+    order: each k <= N/2 by the skip test and its component signatures,
+    with one find_reduction for the first reducible k, or by
+    find_reduction alone for an even quasi or semi N < FOLD_FROM.
     candidates ascend and are closed under k -> N - k."""
     n = ring.modulus
     # parity first: an even semi N has non-unit candidates and reads nothing
@@ -132,26 +144,39 @@ def _decide(ring: ResidueRing, kind: str, candidates: Iterable[int]) -> ClassVer
         if not others and (kind != "monomial" or e == 1):
             return ClassVerdict(n, kind, True, None, tuple(candidates))
     two = _TWO_VALUATION.get(kind)
-    if two is not None and n % 2 == 0 and n >= FOLD_FROM:
-        classes = [(p, e, (two if p == 2 else 0,)) for p, e, _ in ring.crt_idempotents]
+    folds = two is not None and n % 2 == 0
+    parts = ring.crt_idempotents
+    if folds and n >= FOLD_FROM:
+        classes = [(p, e, (two if p == 2 else 0,)) for p, e, _ in parts]
         if not any(components.reducible_counts(classes)):
             return ClassVerdict(n, kind, True, None, tuple(candidates))
+    walk_each = folds and n < FOLD_FROM
     checked: list[int] = []
     for k in candidates:
         checked.append(k)
         if 2 * k > n:
             continue  # decided by its mirror N - k, found irreducible
+        if not walk_each and (
+            bordered_root_count(ring, k) <= 2 or not components.residue_reducible(k, parts)
+        ):
+            continue  # irreducible by its signatures, with no walk
         witness = find_reduction(ring, k)
         if witness is not None:
             return ClassVerdict(
                 n, kind, False, Counterexample(k, witness), tuple(checked)
+            )
+        if not walk_each:
+            raise RuntimeError(
+                f"N={n}, k={k}: the signatures say reducible, "
+                f"but find_reduction finds no witness"
             )
     return ClassVerdict(n, kind, True, None, tuple(checked))
 
 
 def decide_monomial(ring: ResidueRing) -> ClassVerdict:
     """Is every nonzero minimal monomial solution irreducible?  A prime
-    by Lemma 4.1, any other N by the loop (see the module docstring)."""
+    by Lemma 4.1, any other N by the signatures of its candidates (see
+    the module docstring)."""
     return _decide(ring, "monomial", range(1, ring.modulus))
 
 
@@ -163,8 +188,9 @@ def _units(n: int) -> Iterator[int]:
 
 def decide_quasi(ring: ResidueRing) -> ClassVerdict:
     """Is every invertible k irreducible?  A prime power by Lemma 4.1;
-    any other even N >= FOLD_FROM asks the fold first; any other N loops
-    over its units, lazily."""
+    any other even N >= FOLD_FROM asks the fold first; then the units,
+    lazily, by their signatures (one find_reduction each below
+    FOLD_FROM for an even N)."""
     return _decide(ring, "quasi", _units(ring.modulus))
 
 
@@ -190,9 +216,9 @@ def semi_candidates(ring: ResidueRing) -> list[int]:
 def decide_semi(ring: ResidueRing) -> ClassVerdict:
     """Is every doubled unit irreducible?  (True vacuously for N = 2.)
     For an odd N the candidates are the units, so this is decide_quasi's
-    decision, labelled semi: Lemma 4.1 for an odd prime power, the walk
-    otherwise; an even N >= FOLD_FROM asks the fold first, as
-    decide_quasi does."""
+    decision, labelled semi: Lemma 4.1 for an odd prime power, the
+    signatures otherwise; an even N is decided as decide_quasi decides
+    one, the fold first from FOLD_FROM on."""
     n = ring.modulus
     # 2 is a unit for an odd N, so the doubled units are the units
     return _decide(ring, "semi", _units(n) if n % 2 else semi_candidates(ring))
@@ -347,4 +373,4 @@ def sizes_table(p: int) -> list[tuple[int, int]]:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     factors: dict[int, dict[int, int]] = {}  # p -+ 1 factored once for all rows
-    return [(k, _prime_size(p, k, factors)[0]) for k in range(1, (p - 1) // 2 + 1)]
+    return [(k, _prime_size(p, 1, k, factors)[0]) for k in range(1, (p - 1) // 2 + 1)]

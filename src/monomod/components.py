@@ -6,25 +6,29 @@ exactly dividing N, through a small signature; residues with equal
 signatures are counted together, so a count costs a few tables per
 component and one product of them, not one walk per k.  One fold,
 reducible_counts, counts the reducible residues over any classes given
-per component, in terms that a caller sums or stops at.  Its callers:
+per component, in terms that a caller sums or stops at; one test,
+residue_reducible, asks the same of a single k.  Its callers:
 
-  * classify.omega_count sums them over every residue: omega(N) is
-    N - 1 less their sum.  Its oracle is the k-loop of
+  * classify.omega_count sums the counts over every residue: omega(N)
+    is N - 1 less their sum.  Its oracle is the k-loop of
     classify.reducible_set.
   * The class decider classify._decide, on an even N from
     classify.FOLD_FROM on, stops at the first term over its candidate
     classes: the units of each odd q and the k with v_2(k) = 0 (quasi)
     or v_2(k) = 1 (semi) mod 2**a.  With no term the verdict is True
-    and nothing walks; with one, the candidate loop finds the first
-    reducible k.  The loop alone is its oracle.  Odd N and the
-    monomial class take the loop with no fold: an odd True verdict is
-    an odd prime power, whose units all pass the skip test of
-    monomial.find_reduction without a walk, and no even N from 120 on
-    is monomially irreducible.
+    and nothing walks.  Odd N and the monomial class take no fold: an
+    odd True verdict is an odd prime power, whose units all pass the
+    skip test of monomial.find_reduction without a walk, and no even N
+    from 120 on is monomially irreducible.
+  * Past the fold, and for every other N and class, the same decider
+    tests its candidates one at a time with residue_reducible, and
+    walks (find_reduction) only the first one it calls reducible, for
+    the witness.  Only an even quasi or semi N below FOLD_FROM walks
+    each candidate instead.  The loop alone is the oracle of both.
 
-The tables are the library's only answer modulo p**e: the order
-descent from a known multiple that checks their units is a test oracle
-(tests/oracles.py).
+The tables are in closed form and reach no power of M: the signature of
+one unit k mod p**e (residue_signature) comes instead from its minimal
+size, by the order descent of monomial._prime_size.
 
 Hits.  With M = M(k) and a_t as in the core module (a_{-1} = 0,
 a_0 = 1, M**t = [[a_t, -a_{t-1}], [a_{t-1}, ...]]), the core match rule
@@ -146,19 +150,33 @@ odd q and v = 0 (quasi) or v = 1 (semi) of 2**a.
     j > 0 among them with v_p(j) >= e - v >= c: O = 4*p**(e-v) for odd
     p and 2*2**max(e-v, 1) for p = 2.
 
-Cache.  A table depends on (p, e, v) alone and a pair test on its two
-signatures alone, so class_table is cached by its arguments and merge
-and reducible by their pair, each in a bounded least-recently-used
-cache (TABLE_CACHE tables, PAIR_CACHE pairs per test).  A table is a
-tuple, so every caller may share the cached one.  scan.run_scan
-empties the caches at its start, through clear_caches, so a scan does
-the same work whatever ran before it.
+Residues.  residue_signature(p, e, k) is the signature of one k mod
+q = p**e.  For p | k, and for q = 2, it is the one signature of
+class_table(p, e, v), v = v_p(k); for a unit k mod q > 2 it is the
+unit signature of O and -Id above, read from the minimal size (r, eps)
+of k: O = r with -Id no power when eps = +1, O = 2r with -Id a power
+when eps = -1.  residue_reducible merges the signatures of k's
+components but the last and tests that one against the merge, as the
+fold does for a whole class.
+
+Cache.  A table depends on (p, e, v) alone, a residue's signature on
+(p, e, k mod p**e) alone, a unit signature on (O, -Id a power?) alone
+and a pair test on its two signatures alone, so class_table,
+residue_signature and unit_signature are cached by their arguments and
+merge and reducible by their pair, each in a bounded least-recently-used
+cache (TABLE_CACHE tables, SIGNATURE_CACHE signatures of either kind,
+PAIR_CACHE pairs per test).  Tables and signatures are tuples, so every
+caller may share the cached one; the units of a table and the residues
+of its classes share one signature object per class, which keeps the
+residue cache small and makes a pair lookup compare by identity.
+scan.run_scan empties the caches at its start, through clear_caches, so
+a scan does the same work whatever ran before it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -179,18 +197,23 @@ EMPTY_PRODUCT: Signature = (1, frozenset({(1, 0, True, True), (-1, 0, True, True
 # 2..400 needs 242 class tables, 147 merges and 3,153 pair tests, so it
 # fits whole.  Of 2..5000 (1,546, 1,539 and 57,305) in one process,
 # these bounds give a peak RSS of 22 MB and 1.7-1.9 s (3 runs on a
-# shared 2-core machine); entries beyond a bound are rebuilt.
+# shared 2-core machine); entries beyond a bound are rebuilt.  A semi
+# scan of 4..800 needs 551 residue and 331 unit signatures, of 4..2500
+# 2,056 and 950; the omega scan of 2..5000 needs 3,415 unit signatures.
 TABLE_CACHE = 512  # (p, e, v)
 PAIR_CACHE = 4096  # signature pairs
+SIGNATURE_CACHE = 4096  # (p, e, k mod p**e) per residue, (O, -Id a power?) per unit
 
 
 def clear_caches() -> None:
-    """Empty the caches of the tables and of the pair tests, so the work
-    that follows does not depend on what ran before it."""
-    for cached in (class_table, merge, reducible):
+    """Empty the caches of the tables, of the signatures and of the pair
+    tests, so the work that follows does not depend on what ran before
+    it."""
+    for cached in (class_table, unit_signature, residue_signature, merge, reducible):
         cached.cache_clear()
 
 
+@lru_cache(maxsize=SIGNATURE_CACHE)
 def unit_signature(order: int, minus_id: bool) -> Signature:
     """The signature of a unit k mod any q > 2 whose M(k) has this
     order, with -Id among its powers or not."""
@@ -246,6 +269,30 @@ def class_table(p: int, e: int, v: int) -> Table:
     if v:
         return ((valuation_signature(p, e, v), (p - 1) * p ** (e - v - 1) if v < e else 1),)
     return tuple((unit_signature(order, minus_id), n) for order, minus_id, n in unit_orders(p, e))
+
+
+@lru_cache(maxsize=SIGNATURE_CACHE)
+def residue_signature(p: int, e: int, k: int) -> Signature:
+    """The signature of one k mod p**e, 0 <= k < p**e: the one signature
+    of its class table when p divides k or p**e = 2, and otherwise that
+    of its minimal size (see the module docstring)."""
+    v = _valuation(p, e, k)
+    if v or p**e == 2:
+        ((signature, _),) = class_table(p, e, v)
+        return signature
+    # bound per call, so no class table can reach a power through this module
+    from .monomial import _prime_size
+
+    r, eps = _prime_size(p, e, k, {})
+    return unit_signature(r if eps == 1 else 2 * r, eps == -1)
+
+
+def residue_reducible(k: int, parts: Iterable[tuple[int, int, int]]) -> bool:
+    """Is k reducible mod N, with parts the (p, e, _) of each prime-power
+    component of N, as ResidueRing.crt_idempotents lists them?  Every
+    signature but the last is merged, and the last is only tested."""
+    *head, last = (residue_signature(p, e, k % p**e) for p, e, _ in parts)
+    return reducible(reduce(merge, head) if head else EMPTY_PRODUCT, last)
 
 
 @lru_cache(maxsize=PAIR_CACHE)

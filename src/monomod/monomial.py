@@ -10,14 +10,16 @@ r-l+2 is then automatically a solution, so one bordered tuple is a
 complete witness.
 
 Over a prime modulus, minimal_size_prime_fast finds the order from a
-few powers of M(k) instead of a walk; modulo a prime power p**e the
-same descent, from g*p**(e-1), is a test oracle (tests/oracles.py) of
-the closed-form class tables of the components module.  For the prime
-survey, _size_is_2_mod_4 tells r = 2 (mod 4) from one power, and
-_built_2_mod_4 builds the k that have it from traces of powers of
-M(k0), so the survey need not search for them.  The semi decision of an
-odd N is the quasi walk (see the classify module), since its doubled
-units are its units.
+few powers of M(k) instead of a walk.  _prime_size is the one descent:
+modulo a prime power p**e it starts from g*p**(e-1), and it gives the
+class deciders the signature of one unit k mod p**e (see the components
+module) with no walk.  For the prime survey, _size_is_2_mod_4 tells
+r = 2 (mod 4) from one power, and _built_2_mod_4 builds the k that have
+it from traces of powers of M(k0), so the survey need not search for
+them.  The class deciders of the classify module call find_reduction
+once per False verdict, on the counterexample their signatures found,
+for its witness (and once per candidate only for an even quasi or semi
+N below classify.FOLD_FROM).
 """
 
 from __future__ import annotations
@@ -206,23 +208,29 @@ def minimal_size_prime_fast(p: int, k: int) -> tuple[int, int]:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _prime_size(p, k, {})
+    return _prime_size(p, 1, k, {})
 
 
-def _prime_size(p: int, k: int, factors: dict[int, dict[int, int]]) -> tuple[int, int]:
-    """minimal_size(p, k) for a prime p, which is not checked, by
-    descent from the multiple g of _multiple.
+def _prime_size(
+    p: int, e: int, k: int, factors: dict[int, dict[int, int]]
+) -> tuple[int, int]:
+    """minimal_size(p**e, k) for a prime p, which is not checked, by
+    descent from a known multiple of the order.
 
-    The t with M(k)**t = +/-Id are the multiples of r, so r comes from
-    g by dividing out one prime at a time while the power stays +/-Id,
-    one core.power_pm each.  For g = 2, 3, p or 2p only 2 can leave:
-    that g is the order of M(k) mod p itself, so r is g or g/2.
-    factors maps each g = p -+ 1 already factored to its factorization
-    and gains the one this k needs, so classify.sizes_table, which
-    passes the same dict for every k, factors each of p -+ 1 at most
-    once.  Modulo p**e with e >= 2 the library's only answer is the
-    closed-form class tables of the components module; the tests check
-    them against the descent from g*p**(e-1) (tests/oracles.py).
+    The kernel of SL_2(Z/p**e) -> SL_2(Z/p) has exponent p**(e-1), since
+    (Id + p**i*A)**p = Id + p**(i+1)*A' for i >= 1, p = 2 included; so
+    M(k)**(g*p**(e-1)) = Id with g from _multiple.  The t with
+    M(k)**t = +/-Id are the multiples of r, so r comes from that
+    multiple by dividing out one prime at a time while the power stays
+    +/-Id, one core.power_pm each: the primes of g, then p when e >= 2.
+    For g = 2, 3, p or 2p only 2 can leave of g itself: that g is the
+    order of M(k) mod p, so r is g or g/2 when e = 1.  factors
+    maps each g = p -+ 1 already factored to its factorization and gains
+    the one this k needs, so classify.sizes_table, which passes the same
+    dict for every k, factors each of p -+ 1 at most once.  The
+    components module reads the descent for the signature of one unit
+    k mod p**e (components.residue_signature); its class tables are in
+    closed form and reach no power.
     """
     g = _multiple(p, k)
     if p > 2 and g % p:  # p -+ 1
@@ -231,9 +239,12 @@ def _prime_size(p: int, k: int, factors: dict[int, dict[int, int]]) -> tuple[int
         primes = list(factors[g])
     else:
         primes = [2]
-    r, eps = g, 1  # M(k)**g = Id
+    if e > 1 and p > 2:  # 2 is listed already
+        primes.append(p)
+    q = p**e
+    r, eps = g * p ** (e - 1), 1  # M(k)**r = Id
     for f in primes:
         # r // f = 1 needs no power: M(k) itself is never +/-Id
-        while r % f == 0 and r > f and (s := core.power_pm(p, k, r // f)):
+        while r % f == 0 and r > f and (s := core.power_pm(q, k, r // f)):
             r, eps = r // f, s
     return r, eps

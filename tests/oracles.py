@@ -20,10 +20,13 @@ brute force or by a second method, so the tests can compare the two:
   * walk_signature: the (O, hits) signature of one k mod q from a walk
     of M(k), against the closed-form class tables of the components
     module and its merge;
-  * prime_power_size: the minimal size mod p**e by descent from a known
-    multiple, against the walk and the closed-form unit classes;
-  * decide_by_loop: a quasi or semi verdict by the ascending candidate
-    loop alone, against classify's deciders, which ask the fold first.
+  * decide_by_loop: a class verdict by the ascending candidate loop
+    alone, one find_reduction per candidate, against classify's
+    deciders, which ask the fold and the per-k signatures first.
+
+The minimal size mod p**e has no twin here: the library's one descent,
+monomial._prime_size, is checked against the walk and against the
+closed-form unit classes of the components module.
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ from __future__ import annotations
 from math import gcd
 from typing import Callable
 
-from monomod import core, scan
+from monomod import scan
 from monomod._numbers import factorize, sieve_primes
 from monomod.classify import ClassVerdict, Counterexample, reducible_set
 from monomod.components import Signature
 from monomod.modring import ResidueRing
-from monomod.monomial import ReductionWitness, _multiple, find_reduction, minimal_size
+from monomod.monomial import ReductionWitness, find_reduction, minimal_size
 
 
 def find_reduction_naive(ring: ResidueRing, k: int) -> ReductionWitness | None:
@@ -104,25 +107,6 @@ def walk_signature(q: int, k: int) -> Signature:
     return 2 * t, frozenset(hits | {(-s, u + t, z, w) for s, u, z, w in hits})
 
 
-def prime_power_size(p: int, e: int, k: int) -> tuple[int, int]:
-    """minimal_size(p**e, k) for a prime p by descent from a known
-    multiple, with no walk.
-
-    The kernel of SL_2(Z/p**e) -> SL_2(Z/p) has exponent p**(e-1), since
-    (Id + p**i*A)**p = Id + p**(i+1)*A' for i >= 1, p = 2 included; so
-    M(k)**(g*p**(e-1)) = Id with g from monomial._multiple.  The t with
-    M(k)**t = +/-Id are the multiples of r, so r comes from that
-    multiple by dividing out each of its primes while the power stays
-    +/-Id, one core.power_pm each."""
-    q = p**e
-    r, eps = _multiple(p, k) * p ** (e - 1), 1  # M(k)**r = Id
-    for f in factorize(r):
-        # r // f = 1 needs no power: M(k) itself is never +/-Id
-        while r % f == 0 and r > f and (s := core.power_pm(q, k, r // f)):
-            r, eps = r // f, s
-    return r, eps
-
-
 def units_only(ring: ResidueRing) -> bool:
     """Does irreducibility coincide exactly with invertibility?
     (Holds precisely for N = 2 and odd prime powers.)"""
@@ -141,11 +125,14 @@ def semi_candidates_by_gcd(n: int) -> list[int]:
 
 
 def decide_by_loop(ring: ResidueRing, kind: str) -> ClassVerdict:
-    """Twin of decide_quasi and decide_semi with no fold: the candidates
-    by gcd, ascending, each k <= N/2 by find_reduction and each k > N/2
+    """Twin of the class deciders with no lemma, fold or signature, for
+    any kind and any N, odd or even: the candidates (by gcd for quasi and
+    semi), ascending, each k <= N/2 by find_reduction and each k > N/2
     by its mirror N - k, up to the first reducible one."""
     n = ring.modulus
-    if kind == "semi":
+    if kind == "monomial":
+        candidates = list(range(1, n))
+    elif kind == "semi":
         candidates = semi_candidates_by_gcd(n)
     else:
         candidates = [k for k in range(1, n) if gcd(k, n) == 1]

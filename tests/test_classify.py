@@ -319,6 +319,16 @@ def test_counts_equal_the_full_loop(witnesses):
         ), n
 
 
+def test_signatures_say_reducible_exactly_when_find_reduction_does(witnesses):
+    """The per-k test of the class deciders, with no skip test in front:
+    the merged component signatures of k call it reducible iff the walk
+    finds a witness, for every k in [1, N)."""
+    for n, found in witnesses.items():
+        parts = ResidueRing(n).crt_idempotents
+        for k in range(1, n):
+            assert components.residue_reducible(k, parts) == (found[k] is not None), (n, k)
+
+
 def test_nothing_above_half_the_modulus_is_walked(monkeypatch):
     calls = []
 
@@ -338,17 +348,18 @@ def test_nothing_above_half_the_modulus_is_walked(monkeypatch):
     assert {n for n, _ in calls} == set(range(2, 121)) | set(scan.APPENDIX_C_MODULI)
 
 
-# quasi and semi fold first for even N from FOLD_FROM on; the oracle
-# decide_by_loop is the loop alone, which each must equal, verdict,
-# counterexample and checked_k included.  The semi cases keep the ids
-# they had before quasi joined.
+# quasi and semi fold first for even N from FOLD_FROM on, and every
+# decider tests each candidate by its component signatures before it
+# walks; the oracle decide_by_loop is the loop alone, which each must
+# equal, verdict, counterexample and checked_k included.  The semi cases
+# keep the ids they had before quasi and monomial joined.
 
 
 @pytest.mark.parametrize(
     "kind, lo",
     [
         pytest.param(kind, lo, id=str(lo) if kind == "semi" else f"{kind}-{lo}")
-        for kind in ("quasi", "semi")
+        for kind in ("quasi", "semi", "monomial")
         for lo in range(2, 1501, 250)
     ],
 )
@@ -397,10 +408,59 @@ def test_a_true_even_verdict_above_the_crossover_walks_nothing(monkeypatch, kind
     assert verdict == ClassVerdict(n, kind, True, None, tuple(candidates))
 
 
+@pytest.mark.parametrize(
+    "kind, n",
+    [("quasi", 15), ("quasi", 1000), ("semi", 130), ("semi", 798), ("semi", 800),
+     ("monomial", 9), ("monomial", 1000)],
+)
+def test_a_verdict_by_signatures_walks_only_its_counterexample(monkeypatch, kind, n):
+    """Off the loop below FOLD_FROM, the signatures find the first
+    reducible candidate and find_reduction runs once, on it, for its
+    witness; a True verdict (semi 800, by the fold) walks nothing."""
+    ring = ResidueRing(n)
+    want = decide_by_loop(ring, kind)
+    calls = []
+
+    def spy(ring, k):
+        calls.append(k)
+        return find_reduction(ring, k)
+
+    monkeypatch.setattr(classify, "find_reduction", spy)
+    assert DECIDERS[kind](ring) == want
+    assert want.verdict is (kind == "semi" and n == 800), (kind, n)
+    assert calls == ([] if want.verdict else [want.counterexample.k])
+
+
+@pytest.mark.parametrize("n", [10, 12, 30, 60, 98, 118])
+def test_an_even_quasi_or_semi_below_the_crossover_walks_each_candidate(monkeypatch, n):
+    """Below FOLD_FROM an even N keeps the candidate loop: one
+    find_reduction per candidate k <= N/2 up to the verdict."""
+    assert n % 2 == 0 and n < classify.FOLD_FROM
+    calls = []
+
+    def spy(ring, k):
+        calls.append(k)
+        return find_reduction(ring, k)
+
+    monkeypatch.setattr(classify, "find_reduction", spy)
+    for kind in ("quasi", "semi"):
+        calls.clear()
+        verdict = DECIDERS[kind](ResidueRing(n))
+        assert calls == [k for k in verdict.checked_k if 2 * k <= n], (kind, n)
+
+
+@pytest.mark.parametrize("kind, n", [("quasi", 15), ("semi", 130), ("monomial", 1000)])
+def test_a_walk_that_misses_the_signatures_witness_raises(monkeypatch, kind, n):
+    monkeypatch.setattr(classify, "find_reduction", lambda ring, k: None)
+    k = decide_by_loop(ResidueRing(n), kind).counterexample.k
+    with pytest.raises(RuntimeError, match=f"N={n}, k={k}:"):
+        DECIDERS[kind](ResidueRing(n))
+
+
 @pytest.mark.parametrize("n", [119, 120, 121, 243, 255, 625, 1536, 2310])
 def test_only_even_quasi_and_semi_fold(monkeypatch, n):
-    """Odd N and the monomial class take the loop, with no fold; quasi
-    and semi fold once on an even N >= FOLD_FROM, whatever the verdict."""
+    """Odd N and the monomial class take no fold; quasi and semi fold
+    once on an even N >= FOLD_FROM, whatever the verdict."""
     folds = []
 
     def spy(classes):

@@ -13,7 +13,7 @@ from monomod._numbers import factorize, is_prime, prime_power
 from monomod.classify import omega_count, reducible_set
 from monomod.modring import Mat2, ResidueRing, elementary, identity
 from monomod.scan import ScanJob, run_scan
-from oracles import euler_phi, prime_power_size, walk_signature
+from oracles import euler_phi, walk_signature
 
 
 @pytest.fixture(autouse=True)
@@ -171,12 +171,12 @@ def test_omega_far_past_the_tables():
 @pytest.mark.parametrize("p,e", [(2, 16), (3, 9), (5, 6), (7, 5)])
 def test_unit_table_equals_the_descent_of_each_unit(p, e):
     """The closed-form unit classes give every unit the signature that
-    the descent of oracles.prime_power_size gives it on its own: O = r
-    for eps = +1, and O = 2r with -Id a power for eps = -1."""
+    the library's descent, monomial._prime_size, gives it on its own:
+    O = r for eps = +1, and O = 2r with -Id a power for eps = -1."""
     descended: Counter = Counter()
     for k in range(1, p**e):
         if k % p:
-            r, eps = prime_power_size(p, e, k)
+            r, eps = monomial._prime_size(p, e, k, {})
             descended[components.unit_signature(r if eps == 1 else 2 * r, eps == -1)] += 1
     assert Counter(dict(components.class_table(p, e, 0))) == descended
 

@@ -23,7 +23,7 @@ from monomod.monomial import (
     report,
 )
 from monomod.solutions import ModTuple, bordered_constraint_roots, solution_sign
-from oracles import find_reduction_naive, prime_power_size
+from oracles import find_reduction_naive
 
 
 @pytest.mark.parametrize(
@@ -173,11 +173,12 @@ def test_fast_path_equals_walk_for_small_primes():
 
 @pytest.mark.parametrize("q", [q for q in range(2, 601) if prime_power(q) is not None])
 def test_prime_power_descent_equals_the_walk(q):
-    """The descent from g * p**(e-1) against core.order_pm, for every k
-    mod q: units and non-units, the k = +/-2 ladders and p = 2."""
+    """The library's descent, monomial._prime_size, from g * p**(e-1)
+    against core.order_pm, for every k mod q: units and non-units, the
+    k = +/-2 ladders and p = 2."""
     p, e = prime_power(q)
     for k in range(q):
-        assert prime_power_size(p, e, k) == core.order_pm(q, k, q**3 + 1), k
+        assert monomial._prime_size(p, e, k, {}) == core.order_pm(q, k, q**3 + 1), k
 
 
 def test_two_part_test_equals_the_full_size_for_small_primes():

@@ -23,15 +23,24 @@ class, the candidates are taken in ascending order, and each k <= N/2
 is decided with no walk: irreducible when 0 and k are its only border
 roots (solutions.bordered_root_count), and otherwise by the component
 signatures of k, merged as the fold merges them
-(components.residue_reducible).  find_reduction walks once, on the
-first k they call reducible, for its witness; a walk that finds none
-contradicts the signatures and raises RuntimeError.  Only an even
-quasi or semi N below FOLD_FROM keeps the older loop, one find_reduction
-per candidate.  Odd N and the monomial class have no fold: an odd True
-verdict is an odd prime power, which the lemma settles, and no even N
-from 120 on is monomially irreducible, so a fold there would only add
-its cost.  For an odd N, 2 is a unit, so the doubled units are the
-units and decide_semi is the search of decide_quasi, labelled semi.
+(components.residue_reducible).  The first k they call reducible is
+the counterexample, and its witness comes with no walk either: the
+first hit of all its signatures merged (components.residue_witness)
+gives its length and sign, and one power of M(k) (core.power_state)
+its border.  find_reduction is the oracle of that witness in the
+tests.  Only an even quasi or semi N below FOLD_FROM keeps the older
+loop, one find_reduction per candidate.  Odd N and the monomial class
+have no fold: an odd True verdict is an odd prime power, which the
+lemma settles, and no even N from 120 on is monomially irreducible, so
+a fold there would only add its cost.  For an odd N, 2 is a unit, so
+the doubled units are the units and decide_semi is the search of
+decide_quasi, labelled semi.
+
+The candidates are a lazy Candidates sequence: its length comes from
+the factorization the ring keeps, and its items one gcd at a time as
+the loop reads them.  A True verdict keeps the sequence itself as its
+checked_k and a False one the tuple of the candidates read up to its
+counterexample, so no verdict lists the candidates of a large N.
 
 Predictors give the closed-form characterizations the deciders are
 checked against.  sizes_table reads the order descent of the monomial
@@ -51,12 +60,13 @@ most N/2: deciders and counts decide only the k with 2k <= N.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
 from math import gcd, prod
 from typing import Callable, Iterable, Iterator
 
-from . import components
+from . import components, core
 from ._numbers import is_prime, prime_power
 from .modring import ResidueRing
 from .monomial import ReductionWitness, _prime_size, find_reduction
@@ -65,6 +75,7 @@ from .solutions import bordered_root_count
 __all__ = [
     "DECIDERS",
     "PREDICTORS",
+    "Candidates",
     "ClassVerdict",
     "Counterexample",
     "decide_monomial",
@@ -114,27 +125,84 @@ class Counterexample:
     witness: ReductionWitness
 
 
+class Candidates(Sequence[int]):
+    """The candidates of one class mod N, ascending and lazily: k = step*a
+    for the a in [1, m), m = N/step, coprime to m, or every such a when
+    units is false.  Its length comes from the factorization the ring
+    keeps, and its items from one gcd each as they are read, so a loop
+    over it makes no list.  It equals, both ways, and hashes like the
+    tuple or list of its items."""
+
+    __slots__ = ("m", "step", "units", "_len")
+
+    def __init__(self, ring: ResidueRing, step: int = 1, units: bool = True) -> None:
+        self.m, self.step, self.units = ring.modulus // step, step, units
+        length = 1
+        for p, e, _ in ring.crt_idempotents:
+            e -= p == step == 2  # m = N/2 has one 2 less
+            if e:
+                length *= (p - 1) * p ** (e - 1)
+        self._len = (length if units else self.m - 1) if self.m > 1 else 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[int]:
+        m, step = self.m, self.step
+        if not self.units:
+            return iter(range(step, step * m, step))
+        return (step * a for a in range(1, m) if gcd(a, m) == 1)
+
+    def __getitem__(self, i):
+        return tuple(self)[i]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Candidates, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Candidates(N={self.m * self.step}, step={self.step}, units={self.units})"
+
+
 @dataclass(frozen=True)
 class ClassVerdict:
     """Outcome of one irreducibility class decision for one modulus.
-    checked_k lists the candidates decided, in order, including the
-    failing one when the verdict is negative: one by one, those above
-    N/2 by the mirror (see the module docstring), or all of them at once
-    by the lemma or the fold of a True verdict."""
+    checked_k holds the candidates decided, in order: for a False verdict
+    the tuple of those up to the failing one, one by one, those above
+    N/2 by the mirror (see the module docstring); for a True verdict all
+    of them, as the lazy Candidates of the class, decided at once by the
+    lemma or the fold or one by one."""
 
     modulus: int
     kind: str  # a key of DECIDERS
     verdict: bool
     counterexample: Counterexample | None
-    checked_k: tuple[int, ...]
+    checked_k: Sequence[int]
 
 
-def _decide(ring: ResidueRing, kind: str, candidates: Iterable[int]) -> ClassVerdict:
+def _witness(ring: ResidueRing, k: int) -> ReductionWitness | None:
+    """find_reduction(ring, k) with no walk: the first hit of the merged
+    component signatures of k (components.residue_witness), and its
+    border from one power of M(k)."""
+    n = ring.modulus
+    hit = components.residue_witness(k, ring.crt_idempotents)
+    if hit is None:
+        return None
+    t, s = hit
+    a, c = core.power_state(n, k, t)
+    return ReductionWitness(a * c % n, t + 2, s)
+
+
+def _decide(ring: ResidueRing, kind: str, candidates: Candidates) -> ClassVerdict:
     """The one class decider (see the module docstring): Lemma 4.1 when
     N is a prime power and the candidates are units, the fold for a kind
     of _TWO_VALUATION on an even N >= FOLD_FROM, then the candidates in
     order: each k <= N/2 by the skip test and its component signatures,
-    with one find_reduction for the first reducible k, or by
+    which also give the first reducible k its witness, or by
     find_reduction alone for an even quasi or semi N < FOLD_FROM.
     candidates ascend and are closed under k -> N - k."""
     n = ring.modulus
@@ -142,48 +210,38 @@ def _decide(ring: ResidueRing, kind: str, candidates: Iterable[int]) -> ClassVer
     if kind != "semi" or n % 2:
         (_, e, _), *others = ring.crt_idempotents
         if not others and (kind != "monomial" or e == 1):
-            return ClassVerdict(n, kind, True, None, tuple(candidates))
+            return ClassVerdict(n, kind, True, None, candidates)
     two = _TWO_VALUATION.get(kind)
     folds = two is not None and n % 2 == 0
     parts = ring.crt_idempotents
     if folds and n >= FOLD_FROM:
         classes = [(p, e, (two if p == 2 else 0,)) for p, e, _ in parts]
         if not any(components.reducible_counts(classes)):
-            return ClassVerdict(n, kind, True, None, tuple(candidates))
+            return ClassVerdict(n, kind, True, None, candidates)
     walk_each = folds and n < FOLD_FROM
     checked: list[int] = []
     for k in candidates:
         checked.append(k)
         if 2 * k > n:
             continue  # decided by its mirror N - k, found irreducible
-        if not walk_each and (
-            bordered_root_count(ring, k) <= 2 or not components.residue_reducible(k, parts)
-        ):
+        if walk_each:
+            witness = find_reduction(ring, k)
+        elif bordered_root_count(ring, k) <= 2 or not components.residue_reducible(k, parts):
             continue  # irreducible by its signatures, with no walk
-        witness = find_reduction(ring, k)
+        else:
+            witness = _witness(ring, k)
         if witness is not None:
             return ClassVerdict(
                 n, kind, False, Counterexample(k, witness), tuple(checked)
             )
-        if not walk_each:
-            raise RuntimeError(
-                f"N={n}, k={k}: the signatures say reducible, "
-                f"but find_reduction finds no witness"
-            )
-    return ClassVerdict(n, kind, True, None, tuple(checked))
+    return ClassVerdict(n, kind, True, None, candidates)
 
 
 def decide_monomial(ring: ResidueRing) -> ClassVerdict:
     """Is every nonzero minimal monomial solution irreducible?  A prime
     by Lemma 4.1, any other N by the signatures of its candidates (see
     the module docstring)."""
-    return _decide(ring, "monomial", range(1, ring.modulus))
-
-
-def _units(n: int) -> Iterator[int]:
-    """The units mod n in [1, n), ascending and lazily, so a decider
-    that stops early tests no further gcd."""
-    return (k for k in range(1, n) if gcd(k, n) == 1)
+    return _decide(ring, "monomial", Candidates(ring, units=False))
 
 
 def decide_quasi(ring: ResidueRing) -> ClassVerdict:
@@ -191,26 +249,19 @@ def decide_quasi(ring: ResidueRing) -> ClassVerdict:
     any other even N >= FOLD_FROM asks the fold first; then the units,
     lazily, by their signatures (one find_reduction each below
     FOLD_FROM for an even N)."""
-    return _decide(ring, "quasi", _units(ring.modulus))
+    return _decide(ring, "quasi", Candidates(ring))
 
 
-def semi_candidates(ring: ResidueRing) -> list[int]:
+def semi_candidates(ring: ResidueRing) -> Candidates:
     """Ascending doubled units 2a, a invertible mod N (mod N/2 when
-    N = 2 mod 4).  0 can only appear for N = 2 and is dropped: the
-    0-monomial solution is handled by the k = 0 convention, not here."""
-    n = ring.modulus
-    if n % 2:  # 2 is a unit, so doubling permutes the units
-        return list(_units(n))
-    # 2a mod N depends on a mod N/2 alone, so a in [1, N/2) coprime to
-    # N/2 gives each value once, ascending; N/2 has the primes of N, but
-    # 2 only when 4 | N.  A sieve strikes each prime's multiples.
-    half = n // 2
-    coprime = bytearray([1]) * half
-    coprime[0] = 0
-    for p, _, _ in ring.crt_idempotents:
-        if p > 2 or n % 4 == 0:
-            coprime[::p] = bytes(len(range(0, half, p)))
-    return [2 * a for a in compress(range(half), coprime)]
+    N = 2 mod 4), lazily.  0 can only appear for N = 2 and is dropped:
+    the 0-monomial solution is handled by the k = 0 convention, not
+    here."""
+    # For an odd N, 2 is a unit, so doubling permutes the units.  For an
+    # even N, 2a mod N depends on a mod N/2 alone, so the a in [1, N/2)
+    # coprime to N/2 give each value once, ascending; N/2 has the primes
+    # of N, but 2 only when 4 | N.
+    return Candidates(ring, 2 - ring.modulus % 2)
 
 
 def decide_semi(ring: ResidueRing) -> ClassVerdict:
@@ -219,9 +270,7 @@ def decide_semi(ring: ResidueRing) -> ClassVerdict:
     decision, labelled semi: Lemma 4.1 for an odd prime power, the
     signatures otherwise; an even N is decided as decide_quasi decides
     one, the fold first from FOLD_FROM on."""
-    n = ring.modulus
-    # 2 is a unit for an odd N, so the doubled units are the units
-    return _decide(ring, "semi", _units(n) if n % 2 else semi_candidates(ring))
+    return _decide(ring, "semi", semi_candidates(ring))
 
 
 def predict_monomial(n: int) -> bool:

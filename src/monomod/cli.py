@@ -5,7 +5,8 @@ object (or one object per row for streaming scans); errors in JSON mode
 are a single structured object, never partial output.  Exit codes:
 0 success, 1 anomaly (a predictor disagreed or a certificate failed to
 verify), 2 usage or bad arguments, an input too large for memory
-included, 141 (128 + SIGPIPE) when the reader of stdout went away
+included (a JSON classify verdict past JSON_CHECKED_MAX candidates is
+refused up front), 141 (128 + SIGPIPE) when the reader of stdout went away
 early, as in `monomod scan ... | head`.
 """
 
@@ -203,8 +204,21 @@ def _cmd_reduce(args) -> int:
     return _emit(args, row, text=lambda row: _text_line(row["witness"]))
 
 
+# The most candidates a JSON verdict lists in checked_k.  Text and csv
+# print only their count, so they answer at any N; a JSON list past this
+# would take O(N) memory, so it is refused instead.
+JSON_CHECKED_MAX = 10**6
+
+
 def _cmd_classify(args) -> int:
     verdict = DECIDERS[args.kind](ResidueRing(args.N))
+    checked = len(verdict.checked_k)
+    if args.format == "json" and checked > JSON_CHECKED_MAX:
+        return _fail(
+            args,
+            f"checked_k would list {checked} candidates, more than the {JSON_CHECKED_MAX}"
+            f" that --format json prints; --format text or csv prints the count",
+        )
     row: dict = {
         "modulus": verdict.modulus,
         "kind": verdict.kind,
@@ -218,7 +232,7 @@ def _cmd_classify(args) -> int:
     if args.format == "json":
         row["checked_k"] = list(verdict.checked_k)
     else:
-        row["checked"] = len(verdict.checked_k)
+        row["checked"] = checked
     return _emit(args, row)
 
 

@@ -7,7 +7,8 @@ signatures are counted together, so a count costs a few tables per
 component and one product of them, not one walk per k.  One fold,
 reducible_counts, counts the reducible residues over any classes given
 per component, in terms that a caller sums or stops at; one test,
-residue_reducible, asks the same of a single k.  Its callers:
+residue_reducible, asks the same of a single k, and residue_witness
+names the first bordered witness of one.  Their callers:
 
   * classify.omega_count sums the counts over every residue: omega(N)
     is N - 1 less their sum.  Its oracle is the k-loop of
@@ -22,9 +23,11 @@ residue_reducible, asks the same of a single k.  Its callers:
     from 120 on is monomially irreducible.
   * Past the fold, and for every other N and class, the same decider
     tests its candidates one at a time with residue_reducible, and
-    walks (find_reduction) only the first one it calls reducible, for
-    the witness.  Only an even quasi or semi N below FOLD_FROM walks
-    each candidate instead.  The loop alone is the oracle of both.
+    reads the witness of the first one it calls reducible from
+    residue_witness and one power of M (core.power_state), with no
+    walk.  Only an even quasi or semi N below FOLD_FROM walks each
+    candidate (find_reduction) instead.  The loop alone is the oracle
+    of both, and find_reduction of every witness.
 
 The tables are in closed form and reach no power of M: the signature of
 one unit k mod p**e (residue_signature) comes instead from its minimal
@@ -157,7 +160,12 @@ unit signature of O and -Id above, read from the minimal size (r, eps)
 of k: O = r with -Id no power when eps = +1, O = 2r with -Id a power
 when eps = -1.  residue_reducible merges the signatures of k's
 components but the last and tests that one against the merge, as the
-fold does for a whole class.
+fold does for a whole class.  residue_witness merges them all, from
+the empty product: the least hit t with both flags false is the first
+match of the walk of monomial.find_reduction (every such hit lies in
+[1, r-3] mod r, and the walk stops at its first), so the witness has length
+t + 2, sign s and border x = a_t*a_{t-1} mod N.  For N > 2, a_t = -s
+fixes s at each t.
 
 Cache.  A table depends on (p, e, v) alone, a residue's signature on
 (p, e, k mod p**e) alone, a unit signature on (O, -Id a power?) alone
@@ -168,15 +176,16 @@ cache (TABLE_CACHE tables, SIGNATURE_CACHE signatures of either kind,
 PAIR_CACHE pairs per test).  Tables and signatures are tuples, so every
 caller may share the cached one; the units of a table and the residues
 of its classes share one signature object per class, which keeps the
-residue cache small and makes a pair lookup compare by identity.
+residue cache small and makes a pair lookup compare by identity.  The
+descent of a unit signature factors p - 1 or p + 1; those factorizations
+are kept per p (FACTOR_CACHE primes), so each is made once.
 scan.run_scan empties the caches at its start, through clear_caches, so
 a scan does the same work whatever ran before it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -203,13 +212,14 @@ EMPTY_PRODUCT: Signature = (1, frozenset({(1, 0, True, True), (-1, 0, True, True
 TABLE_CACHE = 512  # (p, e, v)
 PAIR_CACHE = 4096  # signature pairs
 SIGNATURE_CACHE = 4096  # (p, e, k mod p**e) per residue, (O, -Id a power?) per unit
+FACTOR_CACHE = 1024  # p, with its p -+ 1 factored
 
 
 def clear_caches() -> None:
     """Empty the caches of the tables, of the signatures and of the pair
     tests, so the work that follows does not depend on what ran before
     it."""
-    for cached in (class_table, unit_signature, residue_signature, merge, reducible):
+    for cached in (class_table, unit_signature, residue_signature, _side_factors, merge, reducible):
         cached.cache_clear()
 
 
@@ -275,7 +285,8 @@ def class_table(p: int, e: int, v: int) -> Table:
 def residue_signature(p: int, e: int, k: int) -> Signature:
     """The signature of one k mod p**e, 0 <= k < p**e: the one signature
     of its class table when p divides k or p**e = 2, and otherwise that
-    of its minimal size (see the module docstring)."""
+    of its minimal size (see the module docstring), whose descent reads
+    p -+ 1 factored from the memo of p."""
     v = _valuation(p, e, k)
     if v or p**e == 2:
         ((signature, _),) = class_table(p, e, v)
@@ -283,16 +294,37 @@ def residue_signature(p: int, e: int, k: int) -> Signature:
     # bound per call, so no class table can reach a power through this module
     from .monomial import _prime_size
 
-    r, eps = _prime_size(p, e, k, {})
+    r, eps = _prime_size(p, e, k, _side_factors(p))
     return unit_signature(r if eps == 1 else 2 * r, eps == -1)
+
+
+@lru_cache(maxsize=FACTOR_CACHE)
+def _side_factors(p: int) -> dict[int, dict[int, int]]:
+    """The memo of p -+ 1 factored that monomial._prime_size fills in for
+    the units mod every power of p, so each is factored once per p."""
+    return {}
 
 
 def residue_reducible(k: int, parts: Iterable[tuple[int, int, int]]) -> bool:
     """Is k reducible mod N, with parts the (p, e, _) of each prime-power
     component of N, as ResidueRing.crt_idempotents lists them?  Every
     signature but the last is merged, and the last is only tested."""
-    *head, last = (residue_signature(p, e, k % p**e) for p, e, _ in parts)
-    return reducible(reduce(merge, head) if head else EMPTY_PRODUCT, last)
+    *head, last = [residue_signature(p, e, k % p**e) for p, e, _ in parts]
+    folded = head[0] if head else EMPTY_PRODUCT
+    for one in head[1:]:
+        folded = merge(folded, one)
+    return reducible(folded, last)
+
+
+def residue_witness(k: int, parts: Iterable[tuple[int, int, int]]) -> tuple[int, int] | None:
+    """(t, s) of the first bordered witness of k mod N, parts as for
+    residue_reducible, or None when k is irreducible: the least hit t
+    with both flags false in the merge of every component's signature,
+    and its sign (see the module docstring)."""
+    folded = EMPTY_PRODUCT
+    for p, e, _ in parts:
+        folded = merge(folded, residue_signature(p, e, k % p**e))
+    return min(((t, s) for s, t, zero, is_k in folded[1] if not zero and not is_k), default=None)
 
 
 @lru_cache(maxsize=PAIR_CACHE)
@@ -334,21 +366,24 @@ def reducible_counts(classes: Iterable[tuple[int, int, Iterable[int]]]) -> Itera
     number of such residues, and the first one settles that there is
     one.  The largest table comes last, where each pair is only
     tested, not merged."""
-    tables = sorted(
+    *head, last = sorted(
         (
             [pair for v in valuations for pair in class_table(p, e, v)]
             for p, e, valuations in classes
         ),
         key=len,
     )
-    folded = Counter({EMPTY_PRODUCT: 1})
-    for table in tables[:-1]:
-        merged: Counter[Signature] = Counter()
-        for one, count in folded.items():
+    # the first table is the running fold: merging it with EMPTY_PRODUCT
+    # would give back its own signatures
+    folded: Iterable[tuple[Signature, int]] = head[0] if head else ((EMPTY_PRODUCT, 1),)
+    for table in head[1:]:
+        merged: dict[Signature, int] = {}
+        for one, count in folded:
             for two, times in table:
-                merged[merge(one, two)] += count * times
-        folded = merged
-    for one, count in folded.items():
-        for two, times in tables[-1]:
+                key = merge(one, two)
+                merged[key] = merged.get(key, 0) + count * times
+        folded = merged.items()
+    for one, count in folded:
+        for two, times in last:
             if reducible(one, two):
                 yield count * times

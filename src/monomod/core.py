@@ -4,8 +4,9 @@ all on one state.
 order_pm finds the least power at +/-Id, and order_and_reduction also
 spots the first power equal to a bordered target s*(M(x)**-1)**2.  Both
 stop halfway, at the centre of a palindrome (see below).
-power_pm jumps straight to one power by repeated squaring.  All use
-Python integers, so they are exact for every N.
+power_state jumps straight to one power by repeated squaring, and
+power_pm reads +/-Id from it.  All use Python integers, so they are
+exact for every N.
 
 The walk keeps one sequence.  With a_{-1} = 0, a_0 = 1 and
 a_t = k*a_{t-1} - a_{t-2},
@@ -112,11 +113,12 @@ def order_pm(N: int, k: int, cap: int) -> tuple[int, int]:
         t += 1
 
 
-def power_pm(N: int, k: int, t: int) -> int:
-    """+1 or -1 when [[k,-1],[1,0]]**t = +/-Id mod N, else 0; t >= 0.
+def power_state(N: int, k: int, t: int) -> tuple[int, int]:
+    """(a_t, a_{t-1}) mod N, the state of [[k,-1],[1,0]]**t; t >= 0.
 
     Binary powering on the walks' state: per bit of t, one squaring and,
-    for a 1 bit, one step of the walk.  N = 2 reads +1, as the walks do.
+    for a 1 bit, one step of the walk.  A bordered witness at step t has
+    x = a_t*a_{t-1}, which the class deciders read from here.
     """
     k %= N
     a, c = 1, 0
@@ -124,6 +126,15 @@ def power_pm(N: int, k: int, t: int) -> int:
         a, c = (a * a - c * c) % N, c * (2 * a - k * c) % N
         if bit == "1":
             a, c = (k * a - c) % N, a
+    return a, c
+
+
+def power_pm(N: int, k: int, t: int) -> int:
+    """+1 or -1 when [[k,-1],[1,0]]**t = +/-Id mod N, else 0; t >= 0.
+
+    Read from power_state.  N = 2 reads +1, as the walks do.
+    """
+    a, c = power_state(N, k, t)
     if c or a not in (1, N - 1):
         return 0
     return 1 if a == 1 else -1

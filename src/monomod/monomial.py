@@ -16,10 +16,11 @@ class deciders the signature of one unit k mod p**e (see the components
 module) with no walk.  For the prime survey, _size_is_2_mod_4 tells
 r = 2 (mod 4) from one power, and _built_2_mod_4 builds the k that have
 it from traces of powers of M(k0), so the survey need not search for
-them.  The class deciders of the classify module call find_reduction
-once per False verdict, on the counterexample their signatures found,
-for its witness (and once per candidate only for an even quasi or semi
-N below classify.FOLD_FROM).
+them.  The class deciders of the classify module read a False
+verdict's witness from the component signatures and one power of M(k),
+with no walk; they call find_reduction once per candidate only for an
+even quasi or semi N below classify.FOLD_FROM, and the tests check
+every signature witness against it.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ brute force or by a second method, so the tests can compare the two:
     the proof of classify.predict_conjecture builds;
   * survey_spot_check: the generic walk on a sample of the (p, k) pairs
     of survey_by_scan, against the survey's powers of M(k);
-  * semi_candidates_by_gcd: one gcd per a < N/2, against the sieve of
-    classify.semi_candidates;
+  * semi_candidates_by_gcd: one gcd per a < N/2, coprime to N or to
+    N/2 by the parity rule, and as a list, against the lazy
+    classify.semi_candidates, which takes a coprime to N/2 alone;
   * euler_phi: Euler's totient from a fresh factorization, against the
     phi that classify and scan read from a ring's prime powers;
   * walk_signature: the (O, hits) signature of one k mod q from a walk
@@ -22,7 +23,8 @@ brute force or by a second method, so the tests can compare the two:
     module and its merge;
   * decide_by_loop: a class verdict by the ascending candidate loop
     alone, one find_reduction per candidate, against classify's
-    deciders, which ask the fold and the per-k signatures first.
+    deciders, which ask the fold and the per-k signatures first and
+    read the counterexample's witness from the signatures.
 
 The minimal size mod p**e has no twin here: the library's one descent,
 monomial._prime_size, is checked against the walk and against the

@@ -4,12 +4,13 @@ predictors, and the derived counts and tables."""
 from __future__ import annotations
 
 import dataclasses
+import random
 import tracemalloc
 from math import gcd
 
 import pytest
 
-from monomod import classify, components, monomial, scan
+from monomod import classify, components, core, monomial, scan
 from monomod.classify import (
     DECIDERS,
     ClassVerdict,
@@ -415,20 +416,95 @@ def test_a_true_even_verdict_above_the_crossover_walks_nothing(monkeypatch, kind
 )
 def test_a_verdict_by_signatures_walks_only_its_counterexample(monkeypatch, kind, n):
     """Off the loop below FOLD_FROM, the signatures find the first
-    reducible candidate and find_reduction runs once, on it, for its
-    witness; a True verdict (semi 800, by the fold) walks nothing."""
+    reducible candidate and give its witness too: no find_reduction and
+    no walk of the kernel, whatever the verdict, and for a False one a
+    single power of M(k) at the counterexample, to its witness's step
+    (semi 800 is True, by the fold)."""
     ring = ResidueRing(n)
     want = decide_by_loop(ring, kind)
-    calls = []
+    walks, powers = [], []
 
-    def spy(ring, k):
-        calls.append(k)
-        return find_reduction(ring, k)
+    def spy(calls, function):
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return function(*args, **kwargs)
 
-    monkeypatch.setattr(classify, "find_reduction", spy)
+        return counted
+
+    monkeypatch.setattr(classify, "find_reduction", spy(walks, find_reduction))
+    for name in ("order_pm", "order_and_reduction"):
+        monkeypatch.setattr(core, name, spy(walks, getattr(core, name)))
+    monkeypatch.setattr(core, "power_state", spy(powers, core.power_state))
     assert DECIDERS[kind](ring) == want
     assert want.verdict is (kind == "semi" and n == 800), (kind, n)
-    assert calls == ([] if want.verdict else [want.counterexample.k])
+    assert walks == []
+    if not want.verdict:
+        ce = want.counterexample
+        assert powers.count((ce.k, ce.witness.length - 2)) == 1, powers
+
+
+def test_the_signature_witness_equals_find_reduction(witnesses):
+    """The witness of a False verdict, from the merged component
+    signatures and one power of M(k), is the walk's first witness for
+    every k in [1, N), N <= ORACLE_MAX_N, and None for the irreducible k."""
+    for n, found in witnesses.items():
+        ring = ResidueRing(n)
+        for k in range(1, n):
+            assert classify._witness(ring, k) == found[k], (n, k)
+
+
+def test_semi_counterexamples_near_a_million_carry_the_walks_witness():
+    """Seeded sample of even N in [10**6, 10**6 + 400): each semi
+    counterexample's witness, read from the signatures, is the one
+    find_reduction walks to."""
+    rng = random.Random(20261022)
+    checked = 0
+    for n in sorted(rng.sample(range(10**6, 10**6 + 400, 2), 40)):
+        ring = ResidueRing(n)
+        verdict = decide_semi(ring)
+        if verdict.verdict:
+            continue
+        ce = verdict.counterexample
+        assert ce.witness == find_reduction(ring, ce.k), n
+        checked += 1
+    assert checked >= 30, checked
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 30, 44, 97, 120, 210, 1024, 2310, 3**7])
+def test_candidates_are_their_tuples(n):
+    """The lazy candidates have the length, items, equality (both ways,
+    with tuples and lists) and hash of the tuple of the same items."""
+    ring = ResidueRing(n)
+    for kind, candidates, want in (
+        ("monomial", classify.Candidates(ring, units=False), list(range(1, n))),
+        ("quasi", classify.Candidates(ring), [k for k in range(1, n) if gcd(k, n) == 1]),
+        ("semi", semi_candidates(ring), semi_candidates_by_gcd(n)),
+    ):
+        assert len(candidates) == len(want), (kind, n)
+        assert list(candidates) == want, (kind, n)
+        assert candidates == want and want == candidates, (kind, n)
+        assert candidates == tuple(want) and tuple(want) == candidates, (kind, n)
+        assert hash(candidates) == hash(tuple(want)), (kind, n)
+        assert candidates != want + [n] and want + [n] != candidates, (kind, n)
+        if want:
+            assert want[:-1] != candidates, (kind, n)
+            assert candidates[0] == want[0] and candidates[-1] == want[-1], (kind, n)
+        assert candidates[:3] == tuple(want[:3]), (kind, n)
+
+
+def test_a_true_verdict_lists_no_candidates():
+    """A True verdict keeps its candidates as the lazy sequence: 2 * (a
+    prime near 10**6) decides semi by the fold with no list of its
+    10**6 candidates made."""
+    n = 2 * 1000003
+    tracemalloc.start()
+    try:
+        verdict = decide_semi(ResidueRing(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.verdict is True and len(verdict.checked_k) == 1000002
+    assert peak < 1024 * 1024, peak
 
 
 @pytest.mark.parametrize("n", [10, 12, 30, 60, 98, 118])
@@ -447,14 +523,6 @@ def test_an_even_quasi_or_semi_below_the_crossover_walks_each_candidate(monkeypa
         calls.clear()
         verdict = DECIDERS[kind](ResidueRing(n))
         assert calls == [k for k in verdict.checked_k if 2 * k <= n], (kind, n)
-
-
-@pytest.mark.parametrize("kind, n", [("quasi", 15), ("semi", 130), ("monomial", 1000)])
-def test_a_walk_that_misses_the_signatures_witness_raises(monkeypatch, kind, n):
-    monkeypatch.setattr(classify, "find_reduction", lambda ring, k: None)
-    k = decide_by_loop(ResidueRing(n), kind).counterexample.k
-    with pytest.raises(RuntimeError, match=f"N={n}, k={k}:"):
-        DECIDERS[kind](ResidueRing(n))
 
 
 @pytest.mark.parametrize("n", [119, 120, 121, 243, 255, 625, 1536, 2310])

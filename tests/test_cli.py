@@ -19,7 +19,7 @@ import pytest
 
 import monomod
 from conftest import load_data
-from monomod import construct, scan
+from monomod import cli, construct, scan
 from monomod.cli import build_parser, run
 from monomod.modring import ResidueRing
 from monomod.monomial import minimal_size
@@ -381,6 +381,54 @@ def test_classify_semi_far_past_the_tables(capsys):
         assert run(["classify", str(n), "--kind", "semi"]) == 0
         out = capsys.readouterr().out
         assert out == f"modulus={n} kind=semi verdict=true checked={checked}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, checked",
+    [
+        (["classify", "1000000007"], 1000000006),
+        (["classify", "1000000007", "--kind", "quasi"], 1000000006),
+        (["classify", "2000000014", "--kind", "semi"], 1000000006),
+    ],
+)
+def test_classify_text_and_csv_answer_near_a_billion(capsys, argv, checked):
+    """True verdicts keep their candidates lazily, so text and csv print
+    the count at once; a list of 10**9 candidates would not fit."""
+    n, kind = argv[1], argv[3] if len(argv) > 2 else "monomial"
+    assert run(argv) == 0
+    assert capsys.readouterr().out == f"modulus={n} kind={kind} verdict=true checked={checked}\n"
+    assert run(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        f"modulus,kind,verdict,checked\r\n{n},{kind},True,{checked}\r\n"
+    )
+
+
+def test_classify_json_lists_checked_k_up_to_its_bound(capsys, monkeypatch):
+    """A JSON verdict lists checked_k in full up to JSON_CHECKED_MAX
+    candidates and is refused past it, with exit 2 and the JSON error
+    object; text still prints the count."""
+    monkeypatch.setattr(cli, "JSON_CHECKED_MAX", 4)
+    assert run(["classify", "5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checked_k"] == [1, 2, 3, 4]
+    assert run(["classify", "7", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    message = json.loads(captured.out)["error"]["message"]
+    assert "6 candidates" in message and "more than the 4" in message
+    assert run(["classify", "7"]) == 0
+    assert capsys.readouterr().out == "modulus=7 kind=monomial verdict=true checked=6\n"
+    # a False verdict's checked_k is its prefix up to the counterexample
+    assert run(["classify", "16", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checked_k"] == [1, 2, 3, 4]
+
+
+def test_classify_json_past_the_bound_is_refused_at_once(capsys):
+    assert cli.JSON_CHECKED_MAX == 10**6
+    n = 1000003  # a prime, so every one of its 1000002 candidates is listed
+    assert run(["classify", str(n), "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == 2
+    assert run(["classify", "1000000007", "--kind", "quasi", "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == 2
 
 
 def test_reduce_irreducible_text(capsys):

@@ -195,6 +195,29 @@ def test_unit_table_factors_p_minus_and_plus_1_once(monkeypatch, p, e):
     assert sum(count for _, count in table) == euler_phi(p**e)
 
 
+@pytest.mark.parametrize("p,e", [(3, 3), (7, 2), (13, 1), (101, 1)])
+def test_residue_signatures_factor_p_minus_and_plus_1_once_per_p(monkeypatch, p, e):
+    """The descent of each unit residue reads p -+ 1 factored from one
+    memo per p, so the units of p and of p**e factor each side once, and
+    clear_caches empties the memo with the signatures."""
+    factor, factored = monomial.factorize, []
+
+    def spy(n):
+        factored.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(monomial, "factorize", spy)
+    units = [(f, k) for f in range(1, e + 1) for k in range(1, p**f) if k % p]
+    for f, k in units:
+        components.residue_signature(p, f, k)
+    assert len(factored) == len(set(factored)) and set(factored) <= {p - 1, p + 1}
+    first = len(factored)
+    components.clear_caches()
+    for f, k in units:
+        components.residue_signature(p, f, k)
+    assert len(factored) == 2 * first
+
+
 def test_a_scan_builds_each_table_once():
     builds = []
     for _ in range(2):  # the second scan starts as cold as the first

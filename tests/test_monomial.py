@@ -197,6 +197,19 @@ def test_power_pm_equals_matrix_powers_exhaustively():
                 assert core.power_pm(n, k, t) == want, (n, k, t)
 
 
+def test_power_state_reads_the_entries_of_matrix_powers():
+    """(a_t, a_{t-1}) are the left column of M(k)**t."""
+    for n in range(2, 40):
+        ring = ResidueRing(n)
+        for k in range(n):
+            for t in range(30):
+                m = monomial_power(ring, k, t)
+                assert core.power_state(n, k, t) == (m.a, m.c), (n, k, t)
+    ring = ResidueRing(10**9 + 7)
+    m = monomial_power(ring, 5, 10**18 + 1)
+    assert core.power_state(10**9 + 7, 5, 10**18 + 1) == (m.a, m.c)
+
+
 @pytest.mark.parametrize(
     "n,k", [(17, 6), (31, 12), (2, 1), (60, 7), (10**9 + 7, 5), (2**61 - 1, 3)]
 )

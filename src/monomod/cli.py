@@ -8,31 +8,28 @@ verify), 2 usage or bad arguments, an input too large for memory
 included (a JSON classify verdict past JSON_CHECKED_MAX candidates is
 refused up front), 141 (128 + SIGPIPE) when the reader of stdout went away
 early, as in `monomod scan ... | head`.
+
+A run loads only what its command needs.  The package loads modring,
+monomial and solutions, with core and _numbers beneath them, which is
+all that size, report and reduce run; none of them uses dataclasses.
+Every other command imports its module inside its _cmd_ function:
+classify for classify, omega and sizes-table, construct for witness,
+scan for scan, appendix and conjecture; CSV output imports scan for
+rows_to_csv.  The parser is declared per command too: when argv names a
+command, only that one is declared in full, with the imports its
+choices need, and the others by name.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from typing import Callable, NoReturn
 
-from .classify import DECIDERS, omega_count, sizes_table
-from .construct import witness_lemma41, witness_prop34, witness_prop36, witness_prop51
 from .modring import ResidueRing
 from .monomial import find_reduction, minimal_size, report
-from .scan import (
-    APPENDICES,
-    SCAN_KINDS,
-    CheckpointError,
-    ScanJob,
-    emit_appendix,
-    rows_to_csv,
-    run_scan,
-    scan_conjecture,
-)
 from .solutions import solution_sign
 
 
@@ -55,60 +52,68 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
-# source -> (builder, help, integer parameters in the builder's order)
+# source -> (builder in the construct module, help, integer parameters
+# in the builder's order)
 _WITNESSES = {
-    "prop36": (witness_prop36, "coprime split N = n*m, m odd, 3 does not divide m", ("n", "m")),
-    "prop51": (witness_prop51, "odd coprime split N = n*m, n < m", ("n", "m")),
-    "lemma41": (witness_lemma41, "odd prime power N = p**n, k = a*p**t", ("p", "n", "t", "a")),
-    "prop34": (witness_prop34, "N/4 or N/p residue when 16 or an odd p*p divides N", ("N",)),
+    "prop36": ("witness_prop36", "coprime split N = n*m, m odd, 3 does not divide m", ("n", "m")),
+    "prop51": ("witness_prop51", "odd coprime split N = n*m, n < m", ("n", "m")),
+    "lemma41": ("witness_lemma41", "odd prime power N = p**n, k = a*p**t", ("p", "n", "t", "a")),
+    "prop34": ("witness_prop34", "N/4 or N/p residue when 16 or an odd p*p divides N", ("N",)),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="monomod",
-        description="Minimal monomial solutions of 2x2 modular matrix"
-        " equations: sizes, irreducibility, witnesses, and range scans.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _query(help_: str) -> Callable:
+    """The declaration that size, report and reduce share."""
 
-    for name, help_ in (
-        ("size", "minimal size r and sign of M(k)**r"),
-        ("report", "size, sign, verdict, witness for one (N, k)"),
-        ("reduce", "first bordered reduction witness, if any"),
-    ):
+    def declare(sub, name: str) -> None:
         p = sub.add_parser(name, help=help_)
         p.add_argument("N", type=int)
         p.add_argument("k", type=int)
         _add_format(p)
 
-    p = sub.add_parser("classify", help="class verdict for one modulus")
+    return declare
+
+
+def _declare_classify(sub, name: str) -> None:
+    from .classify import DECIDERS
+
+    p = sub.add_parser(name, help="class verdict for one modulus")
     p.add_argument("N", type=int)
     p.add_argument(
         "--kind", choices=tuple(DECIDERS), default="monomial", help="class to decide"
     )
     _add_format(p)
 
-    p = sub.add_parser("omega", help="count of irreducible k in [1, N)")
+
+def _declare_omega(sub, name: str) -> None:
+    p = sub.add_parser(name, help="count of irreducible k in [1, N)")
     p.add_argument("N", type=int)
     _add_format(p)
 
-    p = sub.add_parser("sizes-table", help="(k, size) rows for a prime modulus")
+
+def _declare_sizes_table(sub, name: str) -> None:
+    p = sub.add_parser(name, help="(k, size) rows for a prime modulus")
     p.add_argument("p", type=int)
     _add_format(p)
 
-    p = sub.add_parser("witness", help="closed-form reducibility certificates")
+
+def _declare_witness(sub, name: str) -> None:
+    p = sub.add_parser(name, help="closed-form reducibility certificates")
     wsub = p.add_subparsers(dest="source", required=True)
     for source, (_, help_, params) in _WITNESSES.items():
         w = wsub.add_parser(source, help=help_)
-        for name in params:
-            if name == "a":  # lemma41's unit factor of k may be left out
-                w.add_argument(name, type=int, nargs="?", default=1)
+        for param in params:
+            if param == "a":  # lemma41's unit factor of k may be left out
+                w.add_argument(param, type=int, nargs="?", default=1)
             else:
-                w.add_argument(name, type=int)
+                w.add_argument(param, type=int)
         _add_format(w)
 
-    p = sub.add_parser("scan", help="range scan with checkpointing")
+
+def _declare_scan(sub, name: str) -> None:
+    from .scan import SCAN_KINDS, ScanJob
+
+    p = sub.add_parser(name, help="range scan with checkpointing")
     p.add_argument("--kind", choices=SCAN_KINDS, required=True)
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
@@ -120,15 +125,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-chunks", type=int, default=None, help="stop after this many chunks")
     _add_format(p)
 
-    p = sub.add_parser("appendix", help=f"reference tables {', '.join(APPENDICES)}")
+
+def _declare_appendix(sub, name: str) -> None:
+    from .scan import APPENDICES
+
+    p = sub.add_parser(name, help=f"reference tables {', '.join(APPENDICES)}")
     p.add_argument("which", choices=APPENDICES)
     p.add_argument("--workers", type=int, default=1)
     _add_format(p)
 
-    p = sub.add_parser("conjecture", help="primes whose sizes all avoid 2 mod 4")
+
+def _declare_conjecture(sub, name: str) -> None:
+    p = sub.add_parser(name, help="primes whose sizes all avoid 2 mod 4")
     p.add_argument("--max", dest="max_prime", type=int, required=True)
     _add_format(p)
 
+
+def build_parser(argv: list[str] | tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    """The parser of every command; or, when argv[0] names a command, of
+    that command in full and the others by name only, which parses argv
+    the same way with none of the others' imports."""
+    parser = _Parser(
+        prog="monomod",
+        description="Minimal monomial solutions of 2x2 modular matrix"
+        " equations: sizes, irreducibility, witnesses, and range scans.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (declare, _) in _COMMANDS.items():
+        if only in (None, name):
+            declare(sub, name)
+        else:
+            sub.add_parser(name)
     return parser
 
 
@@ -146,6 +174,8 @@ def _emit(
     if args.format == "json":
         print(json.dumps(obj))
     elif args.format == "csv":
+        from .scan import rows_to_csv
+
         sys.stdout.write(rows_to_csv(rows, columns))
     else:
         for row in rows:
@@ -211,6 +241,8 @@ JSON_CHECKED_MAX = 10**6
 
 
 def _cmd_classify(args) -> int:
+    from .classify import DECIDERS
+
     verdict = DECIDERS[args.kind](ResidueRing(args.N))
     checked = len(verdict.checked_k)
     if args.format == "json" and checked > JSON_CHECKED_MAX:
@@ -237,10 +269,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    from .classify import omega_count
+
     return _emit(args, {"N": args.N, "omega": omega_count(ResidueRing(args.N))})
 
 
 def _cmd_sizes_table(args) -> int:
+    from .classify import sizes_table
+
     rows = [{"k": k, "size": r} for k, r in sizes_table(args.p)]
     return _emit(
         args, rows, text=lambda row: f"k={row['k']} r={row['size']}", columns=("k", "size")
@@ -248,8 +284,10 @@ def _cmd_sizes_table(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    build, _, params = _WITNESSES[args.source]
-    cw = build(*(getattr(args, name) for name in params))
+    from . import construct
+
+    builder, _, params = _WITNESSES[args.source]
+    cw = getattr(construct, builder)(*(getattr(args, name) for name in params))
     if cw is None:  # prop34: no pattern applies to N
         row = {"modulus": args.N, "witness": None}
         return _emit(args, row, text=lambda row: "not applicable")
@@ -273,6 +311,10 @@ def _cmd_scan(args) -> int:
         # CSV goes out only after the last chunk (its header needs every
         # row), so a crash would leave the checkpoint ahead of the output.
         return _fail(args, "--format csv cannot be combined with --checkpoint; use json or text")
+    import dataclasses
+
+    from .scan import ScanJob, run_scan
+
     # every scan flag's dest is the name of its ScanJob field
     job = ScanJob(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ScanJob)})
 
@@ -296,10 +338,14 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_appendix(args) -> int:
+    from .scan import emit_appendix
+
     return _emit(args, emit_appendix(args.which, workers=args.workers))
 
 
 def _cmd_conjecture(args) -> int:
+    from .scan import scan_conjecture
+
     primes = scan_conjecture(args.max_prime)
     if args.format == "csv":
         return _emit(args, [{"p": p} for p in primes])
@@ -307,17 +353,18 @@ def _cmd_conjecture(args) -> int:
     return _emit(args, row, text=lambda row: " ".join(str(p) for p in row["primes"]))
 
 
+# command -> (declaration of its parser, its run), in the order of --help
 _COMMANDS = {
-    "size": _cmd_size,
-    "report": _cmd_report,
-    "reduce": _cmd_reduce,
-    "classify": _cmd_classify,
-    "omega": _cmd_omega,
-    "sizes-table": _cmd_sizes_table,
-    "witness": _cmd_witness,
-    "scan": _cmd_scan,
-    "appendix": _cmd_appendix,
-    "conjecture": _cmd_conjecture,
+    "size": (_query("minimal size r and sign of M(k)**r"), _cmd_size),
+    "report": (_query("size, sign, verdict, witness for one (N, k)"), _cmd_report),
+    "reduce": (_query("first bordered reduction witness, if any"), _cmd_reduce),
+    "classify": (_declare_classify, _cmd_classify),
+    "omega": (_declare_omega, _cmd_omega),
+    "sizes-table": (_declare_sizes_table, _cmd_sizes_table),
+    "witness": (_declare_witness, _cmd_witness),
+    "scan": (_declare_scan, _cmd_scan),
+    "appendix": (_declare_appendix, _cmd_appendix),
+    "conjecture": (_declare_conjecture, _cmd_conjecture),
 }
 
 
@@ -361,8 +408,8 @@ def _asks_json(parser: argparse.ArgumentParser, argv: list[str]) -> bool:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -375,7 +422,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command][1](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -384,7 +431,7 @@ def run(argv: list[str] | None = None) -> int:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
-    except (CheckpointError, ValueError) as exc:
+    except ValueError as exc:  # scan.CheckpointError included
         return _fail(args, str(exc))
     except MemoryError:
         return _fail(args, "not enough memory for this input")

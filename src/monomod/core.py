@@ -116,13 +116,16 @@ def order_pm(N: int, k: int, cap: int) -> tuple[int, int]:
 def power_state(N: int, k: int, t: int) -> tuple[int, int]:
     """(a_t, a_{t-1}) mod N, the state of [[k,-1],[1,0]]**t; t >= 0.
 
-    Binary powering on the walks' state: per bit of t, one squaring and,
-    for a 1 bit, one step of the walk.  A bordered witness at step t has
-    x = a_t*a_{t-1}, which the class deciders read from here.
+    Binary powering on the walks' state: from M itself, the leading bit
+    of t, then per further bit one squaring and, for a 1 bit, one step of
+    the walk.  A bordered witness at step t has x = a_t*a_{t-1}, which
+    the class deciders read from here.
     """
+    if t == 0:
+        return 1, 0
     k %= N
-    a, c = 1, 0
-    for bit in bin(t)[2:]:
+    a, c = k, 1
+    for bit in bin(t)[3:]:
         a, c = (a * a - c * c) % N, c * (2 * a - k * c) % N
         if bit == "1":
             a, c = (k * a - c) % N, a

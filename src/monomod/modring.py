@@ -7,7 +7,6 @@ M(a_n) * M(a_{n-1}) * ... * M(a_1), indices descending left to right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from ._numbers import factorize, inv_mod
@@ -23,15 +22,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ResidueRing:
+class _Value:
+    """Base of the package's immutable value classes: equality, hash,
+    repr, pickling and copying over the fields named by _fields, as a
+    frozen dataclass has them.  A subclass's __init__ sets its fields
+    once, through _set; assigning or deleting an attribute afterwards
+    raises AttributeError.  They are not dataclasses because the
+    dataclasses module, with inspect beneath it, takes a CLI query
+    longer to import than most queries take to compute."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self is other or self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ResidueRing(_Value):
     """The modulus N >= 2; residues are kept canonical in [0, N-1]."""
 
-    modulus: int
+    # no __slots__: crt_idempotents is cached in the instance __dict__
+    _fields = ("modulus",)
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
+    def __init__(self, modulus: int) -> None:
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        self._set(modulus)
 
     def canon(self, v: int) -> int:
         return v % self.modulus
@@ -52,26 +93,22 @@ class ResidueRing:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(_Value):
     """Row-major [[a, b], [c, d]] over a ResidueRing, determinant 1.
 
     Every matrix this package produces is a product of the determinant-1
     generators, so the constructor rejects anything else.
     """
 
-    ring: ResidueRing
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = _fields = ("ring", "a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        n = self.ring.modulus
-        if not all(0 <= v < n for v in (self.a, self.b, self.c, self.d)):
+    def __init__(self, ring: ResidueRing, a: int, b: int, c: int, d: int) -> None:
+        n = ring.modulus
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
             raise ValueError("matrix entries must be canonical residues")
-        if (self.a * self.d - self.b * self.c) % n != 1:
+        if (a * d - b * c) % n != 1:
             raise ValueError("determinant must be 1")
+        self._set(ring, a, b, c, d)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         if self.ring != other.ring:

@@ -25,12 +25,11 @@ every signature witness against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from . import core
 from ._numbers import factorize, is_prime
-from .modring import ResidueRing
+from .modring import ResidueRing, _Value
 from .solutions import bordered_constraint_roots, bordered_root_count
 
 __all__ = [
@@ -43,26 +42,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReductionWitness:
+class ReductionWitness(_Value):
     """A bordered solution (x, k, ..., k, x) of the given length and sign."""
 
-    x: int
-    length: int
-    sign: int
+    __slots__ = _fields = ("x", "length", "sign")
+
+    def __init__(self, x: int, length: int, sign: int) -> None:
+        self._set(x, length, sign)
 
 
-@dataclass(frozen=True)
-class MonomialReport:
+class MonomialReport(_Value):
     """Everything about one (N, k): minimal size r, the sign of
     M(k)**r, the irreducibility verdict, and a witness when reducible."""
 
-    modulus: int
-    k: int
-    size: int
-    sign: int
-    irreducible: bool
-    witness: ReductionWitness | None
+    __slots__ = _fields = ("modulus", "k", "size", "sign", "irreducible", "witness")
+
+    def __init__(
+        self,
+        modulus: int,
+        k: int,
+        size: int,
+        sign: int,
+        irreducible: bool,
+        witness: ReductionWitness | None,
+    ) -> None:
+        self._set(modulus, k, size, sign, irreducible, witness)
 
 
 def _cap(n: int) -> int:

@@ -3,9 +3,7 @@ and reversal, and membership in the equation M_n(a_1,...,a_n) = +/-Id."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .modring import ResidueRing, chain, pm_id
+from .modring import ResidueRing, _Value, chain, pm_id
 
 __all__ = [
     "ModTuple",
@@ -16,19 +14,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModTuple:
+class ModTuple(_Value):
     """An ordered tuple of canonical residues, length >= 1."""
 
-    ring: ResidueRing
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("ring", "entries")
 
-    def __post_init__(self) -> None:
-        if len(self.entries) == 0:
+    def __init__(self, ring: ResidueRing, entries: tuple[int, ...]) -> None:
+        if len(entries) == 0:
             raise ValueError("tuple must have at least one entry")
-        object.__setattr__(
-            self, "entries", tuple(self.ring.canon(v) for v in self.entries)
-        )
+        self._set(ring, tuple(ring.canon(v) for v in entries))
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -1,6 +1,6 @@
 """Shared test fixtures: frozen reference tables and a tiny raw-tuple
 2x2 matrix calculator used by the exhaustive brute-force suites (the
-dataclass-based Mat2 is too slow for million-product enumerations)."""
+Mat2 class is too slow for million-product enumerations)."""
 
 from __future__ import annotations
 

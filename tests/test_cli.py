@@ -822,6 +822,7 @@ def test_package_reexports_every_module_surface():
         for name in getattr(module, "__all__", ()):
             assert name in monomod.__all__, f"{module.__name__}.{name}"
             assert getattr(monomod, name) is getattr(module, name), name
+    assert set(monomod.__all__) <= set(dir(monomod))
 
 
 def test_oracles_and_dead_code_left_the_library():
@@ -962,6 +963,68 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_query_loads_only_what_it_runs():
+    """size, report and reduce run on the six modules below alone: the
+    package's tail (classify, construct, scan), components, dataclasses,
+    csv and the process pool stay unloaded.  Other commands still load
+    what they need from a fresh interpreter."""
+    probe = (
+        "import contextlib, io, sys\n"
+        "import monomod.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in ('size 17 5', 'report 42 10 --format json', 'reduce 1000002 3'):\n"
+        "        assert monomod.cli.run(argv.split()) == 0\n"
+        "print(sorted(name for name in sys.modules if name.startswith('monomod')))\n"
+        "print(sorted({'dataclasses', 'csv', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=_env_with_src(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    package, others = proc.stdout.splitlines()
+    assert package == str(sorted(
+        ["monomod"] + [f"monomod.{m}" for m in
+                       ("cli", "modring", "monomial", "solutions", "core", "_numbers")]
+    ))
+    assert others == "[]"
+    for argv, out in (
+        ("classify 360 --kind semi", "modulus=360 kind=semi verdict=true checked=48"),
+        ("witness prop51 3 5",
+         "modulus=15 k=8 size=30 source=prop51 x=5 len=27 sign=1 verified=true"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "monomod.cli", *argv.split()], capture_output=True,
+            text=True, timeout=60, env=_env_with_src(),
+        )
+        assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, out, "")
+
+
+def _commands(parser: argparse.ArgumentParser) -> dict:
+    return next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
+@pytest.mark.parametrize("command", list(_commands(build_parser())))
+def test_one_command_parser_equals_the_full_one(monkeypatch, command):
+    """A run that names its command declares only that one in full; its
+    help and usage, each witness source's too, are the full parser's,
+    and so is the top-level usage."""
+    monkeypatch.setenv("COLUMNS", "80")
+    full, alone = build_parser(), build_parser([command, "--help"])
+    assert alone.format_usage() == full.format_usage()
+    assert list(_commands(alone)) == list(_commands(full))
+    pairs = [(_commands(full)[command], _commands(alone)[command])]
+    if command == "witness":
+        sources = _commands(pairs[0][0])
+        assert list(sources) == list(cli._WITNESSES)
+        pairs += [(sources[s], _commands(pairs[0][1])[s]) for s in sources]
+    for want, got in pairs:
+        assert got.format_help() == want.format_help()
+        assert got.format_usage() == want.format_usage()
 
 
 def test_closed_stdout_pipe_exits_quietly():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -17,7 +16,7 @@ from monomod.construct import (
     witness_prop51,
 )
 from monomod.modring import ResidueRing
-from monomod.monomial import minimal_size, report
+from monomod.monomial import MonomialReport, minimal_size, report
 from monomod.solutions import ModTuple, solution_sign
 
 
@@ -121,7 +120,8 @@ def test_constructed_prop34_certificates_verify():
 
 def test_prop34_raises_when_its_residue_is_not_reducible(monkeypatch):
     def no_witness(ring, k):
-        return replace(report(ring, k), irreducible=True, witness=None)
+        rep = report(ring, k)
+        return MonomialReport(rep.modulus, rep.k, rep.size, rep.sign, True, None)
 
     monkeypatch.setattr(construct, "report", no_witness)
     with pytest.raises(RuntimeError, match="k=15"):

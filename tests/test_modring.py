@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import inspect
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +18,8 @@ from monomod.modring import (
     monomial_power,
     pm_id,
 )
+from monomod.monomial import MonomialReport, ReductionWitness
+from monomod.solutions import ModTuple
 
 rings = st.integers(2, 80).map(ResidueRing)
 
@@ -23,6 +29,87 @@ def test_ring_rejects_modulus_below_two():
         ResidueRing(1)
     with pytest.raises(ValueError):
         ResidueRing(0)
+
+
+# The immutable value classes: constructor arguments, and the repr that
+# the same arguments gave when these classes were frozen dataclasses.
+_VALUES = [
+    (ResidueRing, (10,), "ResidueRing(modulus=10)"),
+    (
+        Mat2,
+        (ResidueRing(5), 2, 4, 1, 0),
+        "Mat2(ring=ResidueRing(modulus=5), a=2, b=4, c=1, d=0)",
+    ),
+    (ReductionWitness, (1, 4, -1), "ReductionWitness(x=1, length=4, sign=-1)"),
+    (
+        MonomialReport,
+        (42, 10, 24, 1, False, ReductionWitness(28, 6, 1)),
+        "MonomialReport(modulus=42, k=10, size=24, sign=1, irreducible=False,"
+        " witness=ReductionWitness(x=28, length=6, sign=1))",
+    ),
+    (
+        ModTuple,
+        (ResidueRing(7), (8, -1, 3)),
+        "ModTuple(ring=ResidueRing(modulus=7), entries=(1, 6, 3))",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls,args,text", _VALUES, ids=[v[0].__name__ for v in _VALUES])
+def test_value_classes_behave_as_frozen_records(cls, args, text):
+    value = cls(*args)
+    fields = list(inspect.signature(cls).parameters)
+    assert cls(**dict(zip(fields, args))) == value
+    assert hash(cls(*args)) == hash(value)
+    assert repr(value) == text
+    assert value != tuple(getattr(value, name) for name in fields)
+    assert value != object()
+    for other in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(other) is cls and other == value and repr(other) == text
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == text
+
+
+def test_values_differ_in_any_field():
+    witness = ReductionWitness(1, 4, -1)
+    assert witness != ReductionWitness(1, 4, 1)
+    assert witness != ReductionWitness(2, 4, -1)
+    assert ResidueRing(10) != ResidueRing(11)
+    assert ModTuple(ResidueRing(7), (1, 2)) != ModTuple(ResidueRing(8), (1, 2))
+    assert len({ResidueRing(10), ResidueRing(10), ResidueRing(11)}) == 2
+
+
+def test_value_classes_keep_their_validation_errors():
+    ring = ResidueRing(5)
+    cases = [
+        (lambda: ResidueRing(1), "modulus must be >= 2, got 1"),
+        (lambda: Mat2(ring, 5, 4, 1, 0), "matrix entries must be canonical residues"),
+        (lambda: Mat2(ring, 1, 1, 1, 1), "determinant must be 1"),
+        (lambda: ModTuple(ring, ()), "tuple must have at least one entry"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_crt_idempotents_are_computed_once_per_ring(monkeypatch):
+    from monomod import modring
+
+    calls = []
+    factorize = modring.factorize
+    monkeypatch.setattr(modring, "factorize", lambda n: calls.append(n) or factorize(n))
+    ring = ResidueRing(360)
+    first = ring.crt_idempotents
+    assert ring.crt_idempotents is first
+    assert calls == [360]
+    assert pickle.loads(pickle.dumps(ring)).crt_idempotents == first
 
 
 def test_canon_wraps_negatives():
